@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section over the synthetic SPEC95 suite, then measures the
-   library's own stages with Bechamel.
+   evaluation section over the synthetic SPEC95 suite, plus the repo's own
+   verification reports.  Per-layer timing lives in perfbench/.
 
    All sections run through the unified experiment engine (lib/harness):
    one shared artifact store memoizes the expensive pipeline per
@@ -21,8 +21,6 @@
                 unrolling, release-point forwarding, synchronization table
      lint     - static verification of every plan (all workloads x all
                 levels), exported to bench/lint.json for cross-commit diffs
-     trace    - memory statistics of the packed trace representation vs the
-                boxed layout it replaced, exported into bench/results.json
      account  - cycle attribution to the paper's Section-2 performance
                 issues over the full grid, exported to bench/account.json;
                 exits non-zero if any record violates conservation
@@ -37,24 +35,21 @@
                 200 programs through every level with lint/roundtrip/dep/
                 acct/cost/fb-bound/sim_ref as oracles), exported to
                 bench/fuzz.json; exits non-zero on any violation
-     bechamel - wall-clock measurement of the pipeline stages
 
    Run with: dune exec bench/main.exe            (all sections)
-             dune exec bench/main.exe -- table1  (one section) *)
-
-let sections =
-  if Array.length Sys.argv > 1 then Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
-  else
-    [ "table1"; "figure5"; "summary"; "superscalar"; "ablation"; "crossinput";
-      "lint"; "trace"; "account"; "deps"; "absint"; "cost"; "fuzz";
-      "bechamel" ]
-
-let want s = List.mem s sections
+             dune exec bench/main.exe -- table1  (one section)
+   An unknown section name is an error (exit 2). *)
 
 let line () = print_endline (String.make 78 '=')
 
 (* One artifact store shared by every section of this run. *)
 let store = Harness.Artifact.create ()
+
+(* Section exports land in bench/ when run from the repo root. *)
+let out_path name =
+  if Sys.file_exists "bench" && Sys.is_directory "bench" then
+    Filename.concat "bench" name
+  else name
 
 let dd_artifact entry =
   Harness.Artifact.get store ~level:Core.Heuristics.Data_dependence entry
@@ -361,86 +356,9 @@ let run_lint () =
         (fun d -> Format.printf "%a@." Lint.Diag.pp d)
         (Lint.Diag.errors r.Lint.diags))
     reports;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "lint.json"
-    else "lint.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Lint.report_to_json reports));
-  output_char oc '\n';
-  close_out oc;
+  let path = out_path "lint.json" in
+  Harness.Json.to_file path (Lint.report_to_json reports);
   Printf.printf "wrote %s\n" path
-
-(* --- trace memory --------------------------------------------------------- *)
-
-(* Heap words per dynamic event, packed vs the boxed event-record layout
-   the interpreter used to build; the boxed figure is computed from the
-   same event/address counts, so the comparison needs no legacy build. *)
-let run_trace () =
-  line ();
-  print_endline
-    "TRACE — packed trace memory vs the boxed event-record representation \
-     (dd tasks)";
-  line ();
-  Printf.printf "%-10s %9s %9s %7s %7s %6s %9s %9s\n" "bench" "events"
-    "addrs" "w/ev" "boxed" "ratio" "KB" "alloc-KW";
-  let rows =
-    Harness.Pool.map
-      (fun entry ->
-        let art = dd_artifact entry in
-        ( entry.Workloads.Registry.name,
-          Interp.Trace.stats art.Harness.Artifact.trace ))
-      Workloads.Suite.all
-  in
-  List.iter
-    (fun (name, (s : Interp.Trace.mem_stats)) ->
-      let ev = float_of_int (max 1 s.Interp.Trace.events) in
-      Printf.printf "%-10s %9d %9d %7.2f %7.2f %5.1fx %9.1f %9.1f\n" name
-        s.Interp.Trace.events s.Interp.Trace.addrs
-        (float_of_int s.Interp.Trace.heap_words /. ev)
-        (float_of_int s.Interp.Trace.boxed_words /. ev)
-        (float_of_int s.Interp.Trace.boxed_words
-        /. float_of_int (max 1 s.Interp.Trace.heap_words))
-        (float_of_int (s.Interp.Trace.heap_words * (Sys.word_size / 8))
-        /. 1024.0)
-        (float_of_int s.Interp.Trace.build_alloc_words /. 1024.0))
-    rows;
-  let s =
-    List.fold_left
-      (fun (acc : Interp.Trace.mem_stats) (_, (s : Interp.Trace.mem_stats)) ->
-        {
-          Interp.Trace.events = acc.Interp.Trace.events + s.Interp.Trace.events;
-          addrs = acc.Interp.Trace.addrs + s.Interp.Trace.addrs;
-          heap_words = acc.Interp.Trace.heap_words + s.Interp.Trace.heap_words;
-          boxed_words =
-            acc.Interp.Trace.boxed_words + s.Interp.Trace.boxed_words;
-          build_alloc_words =
-            acc.Interp.Trace.build_alloc_words
-            + s.Interp.Trace.build_alloc_words;
-          boxed_alloc_words =
-            acc.Interp.Trace.boxed_alloc_words
-            + s.Interp.Trace.boxed_alloc_words;
-        })
-      {
-        Interp.Trace.events = 0; addrs = 0; heap_words = 0; boxed_words = 0;
-        build_alloc_words = 0; boxed_alloc_words = 0;
-      }
-      rows
-  in
-  let ev = float_of_int (max 1 s.Interp.Trace.events) in
-  Printf.printf
-    "total: %d events / %d addrs; packed %.2f w/ev, boxed %.2f w/ev — %.1fx \
-     smaller resident, build churn %.1f KW vs %.1f KW boxed\n"
-    s.Interp.Trace.events s.Interp.Trace.addrs
-    (float_of_int s.Interp.Trace.heap_words /. ev)
-    (float_of_int s.Interp.Trace.boxed_words /. ev)
-    (float_of_int s.Interp.Trace.boxed_words
-    /. float_of_int (max 1 s.Interp.Trace.heap_words))
-    (float_of_int s.Interp.Trace.build_alloc_words /. 1024.0)
-    (float_of_int s.Interp.Trace.boxed_alloc_words /. 1024.0);
-  Printf.printf "store holds %.1f KB of packed traces\n"
-    (float_of_int (Harness.Artifact.trace_bytes store) /. 1024.0)
 
 (* --- cycle accounting ------------------------------------------------------ *)
 
@@ -460,12 +378,8 @@ let run_account () =
   let bad =
     List.filter (fun a -> not (Harness.Job.conserved a)) accounts
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "account.json"
-    else "account.json"
-  in
-  Harness.Job.export_accounts ~path accounts;
+  let path = out_path "account.json" in
+  Harness.Json.to_file path (Harness.Job.accounts_to_json accounts);
   Printf.printf "wrote %s (%d breakdown records)\n" path
     (List.length accounts);
   if bad <> [] then begin
@@ -502,15 +416,8 @@ let run_deps () =
   line ();
   let rows = Report.Deps.run ~store Workloads.Suite.all in
   Format.printf "%a@." Report.Deps.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "deps.json"
-    else "deps.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Deps.to_json rows));
-  output_char oc '\n';
-  close_out oc;
+  let path = out_path "deps.json" in
+  Harness.Json.to_file path (Report.Deps.to_json rows);
   Printf.printf "wrote %s (%d dependence summaries)\n" path (List.length rows);
   let violations = Report.Deps.violations rows in
   if violations > 0 then begin
@@ -536,15 +443,8 @@ let run_absint () =
   line ();
   let rows = Report.Precision.run ~store Workloads.Suite.all in
   Format.printf "%a@." Report.Precision.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "absint.json"
-    else "absint.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Precision.to_json rows));
-  output_char oc '\n';
-  close_out oc;
+  let path = out_path "absint.json" in
+  Harness.Json.to_file path (Report.Precision.to_json rows);
   Printf.printf "wrote %s (%d precision rows)\n" path (List.length rows);
   let fi, ab = Report.Precision.totals rows in
   if ab >= fi then begin
@@ -574,15 +474,8 @@ let run_cost () =
   line ();
   let rows = Report.Cost.run ~store Workloads.Suite.all in
   Format.printf "%a@." Report.Cost.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "cost.json"
-    else "cost.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Cost.to_json rows));
-  output_char oc '\n';
-  close_out oc;
+  let path = out_path "cost.json" in
+  Harness.Json.to_file path (Report.Cost.to_json rows);
   Printf.printf "wrote %s (%d cost rows)\n" path (List.length rows);
   let geo = Report.Cost.geomean_ipc rows in
   let geo_of level =
@@ -650,11 +543,7 @@ let run_fuzz () =
         r.Harness.Job.z_ref_pass r.Harness.Job.z_ref_checked
         r.Harness.Job.z_violations)
     o.Fuzz.o_shapes o.Fuzz.o_records;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "fuzz.json"
-    else "fuzz.json"
-  in
+  let path = out_path "fuzz.json" in
   Harness.Job.export ~path ~fuzz:o.Fuzz.o_records [];
   Printf.printf "wrote %s (%d fuzz records)\n" path
     (List.length o.Fuzz.o_records);
@@ -671,98 +560,44 @@ let run_fuzz () =
     exit 1
   end
 
-(* --- bechamel ------------------------------------------------------------- *)
-
-let run_bechamel () =
-  line ();
-  print_endline "BECHAMEL — wall-clock cost of the pipeline stages (compress)";
-  line ();
-  let open Bechamel in
-  let entry = Workloads.Suite.find "compress" in
-  let prog = entry.Workloads.Registry.build () in
-  let plan = Core.Partition.build Core.Heuristics.Data_dependence prog in
-  let outcome = Interp.Run.execute plan.Core.Partition.prog in
-  let trace = outcome.Interp.Run.trace in
-  let cfg = Sim.Config.default ~num_pus:8 ~in_order:false in
-  let tests =
-    [
-      Test.make ~name:"build workload"
-        (Staged.stage (fun () -> ignore (entry.Workloads.Registry.build ())));
-      Test.make ~name:"interpret + profile"
-        (Staged.stage (fun () -> ignore (Interp.Run.execute prog)));
-      Test.make ~name:"task selection (dd)"
-        (Staged.stage (fun () ->
-             ignore (Core.Partition.build Core.Heuristics.Data_dependence prog)));
-      Test.make ~name:"cycle simulation (8PU)"
-        (Staged.stage (fun () ->
-             ignore (Sim.Engine.run_with_trace cfg plan trace)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg_b =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 200) ()
-    in
-    Benchmark.all cfg_b instances test
-  in
-  let results =
-    List.map
-      (fun t ->
-        let r = benchmark (Test.make_grouped ~name:(Test.name t) [ t ]) in
-        (Test.name t, r))
-      tests
-  in
-  List.iter
-    (fun (name, raw) ->
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun _ ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-26s %12.0f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-26s (no estimate)\n" name)
-        results)
-    results
-
 (* --- results export -------------------------------------------------------- *)
 
 let export_results () =
   let results = Harness.Job.results_of_store store in
-  let trace = Harness.Job.trace_stats_of_store store in
-  if results <> [] || trace <> [] then begin
-    let path =
-      if Sys.file_exists "bench" && Sys.is_directory "bench" then
-        Filename.concat "bench" "results.json"
-      else "results.json"
-    in
-    (match trace with
-    | [] -> Harness.Job.export ~path results
-    | _ -> Harness.Job.export ~path ~trace results);
-    Printf.printf
-      "wrote %s (%d job results, %d trace records, %d pipeline builds)\n" path
-      (List.length results) (List.length trace)
+  if results <> [] then begin
+    let path = out_path "results.json" in
+    Harness.Job.export ~path results;
+    Printf.printf "wrote %s (%d job results, %d pipeline builds)\n" path
+      (List.length results)
       (Harness.Artifact.builds store)
   end
 
+(* In run order; argv selects a subset, the default is all of them. *)
+let sections =
+  [
+    ("table1", run_table1); ("figure5", run_figure5); ("summary", run_summary);
+    ("superscalar", run_superscalar); ("ablation", run_ablation);
+    ("crossinput", run_crossinput); ("lint", run_lint);
+    ("account", run_account); ("deps", run_deps); ("absint", run_absint);
+    ("cost", run_cost); ("fuzz", run_fuzz);
+  ]
+
 let () =
-  if want "table1" then run_table1 ();
-  if want "figure5" then run_figure5 ();
-  if want "summary" then run_summary ();
-  if want "superscalar" then run_superscalar ();
-  if want "ablation" then run_ablation ();
-  if want "crossinput" then run_crossinput ();
-  if want "lint" then run_lint ();
-  if want "trace" then run_trace ();
-  if want "account" then run_account ();
-  if want "deps" then run_deps ();
-  if want "absint" then run_absint ();
-  if want "cost" then run_cost ();
-  if want "fuzz" then run_fuzz ();
-  if want "bechamel" then run_bechamel ();
+  let requested =
+    match Array.to_list Sys.argv with
+    | _ :: (_ :: _ as names) -> names
+    | _ -> List.map fst sections
+  in
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) requested with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown section(s): %s\nvalid sections: %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst sections));
+    exit 2);
+  List.iter
+    (fun (name, run) -> if List.mem name requested then run ())
+    sections;
   line ();
   export_results ();
   print_endline "bench complete."

@@ -91,14 +91,19 @@ let json_arg =
    plans, traces and default-machine simulations through the engine. *)
 let store = Harness.Artifact.create ()
 
+(* Every file msc writes goes through here: an unwritable path is a user
+   error (exit 1), not an uncaught exception. *)
+let write_json path json =
+  try Harness.Json.to_file path json
+  with Sys_error msg ->
+    Printf.eprintf "msc: cannot write %s\n" msg;
+    exit 1
+
 let export_json = function
   | None -> ()
   | Some path ->
     let results = Harness.Job.results_of_store store in
-    (try Harness.Job.export ~path results with
-     | Sys_error msg ->
-       Printf.eprintf "msc: cannot write results: %s\n" msg;
-       exit 1);
+    write_json path (Harness.Job.to_json results);
     Printf.printf "wrote %s (%d job results)\n" path (List.length results)
 
 (* --- list ---------------------------------------------------------------- *)
@@ -202,10 +207,7 @@ let breakdown_cmd =
     | None -> ()
     | Some path ->
       let accounts = Report.Breakdown.accounts rows in
-      (try Harness.Job.export_accounts ~path accounts with
-       | Sys_error msg ->
-         Printf.eprintf "msc: cannot write breakdown: %s\n" msg;
-         exit 1);
+      write_json path (Harness.Job.accounts_to_json accounts);
       Printf.printf "wrote %s (%d breakdown records)\n" path
         (List.length accounts)
   in
@@ -445,11 +447,7 @@ let lint_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Harness.Json.to_string (Lint.report_to_json reports));
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Lint.report_to_json reports);
       Printf.printf "wrote %s\n" path);
     let errors = Lint.total_errors reports in
     Printf.printf "lint: %d plans checked, %d errors\n" (List.length reports)
@@ -492,10 +490,7 @@ let deps_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Harness.Json.to_string (Report.Deps.to_json rows));
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Report.Deps.to_json rows);
       Printf.printf "wrote %s (%d dependence summaries)\n" path
         (List.length rows));
     let violations = Report.Deps.violations rows in
@@ -540,11 +535,7 @@ let absint_cmd =
     match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Harness.Json.to_string (Report.Precision.to_json rows));
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Report.Precision.to_json rows);
       Printf.printf "wrote %s (%d precision rows)\n" path (List.length rows)
   in
   Cmd.v
@@ -585,10 +576,7 @@ let cost_cmd =
     match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Harness.Json.to_string (Report.Cost.to_json rows));
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Report.Cost.to_json rows);
       Printf.printf "wrote %s (%d cost rows)\n" path (List.length rows)
   in
   Cmd.v
@@ -625,43 +613,30 @@ let trace_stats_cmd =
           let span =
             Report.Window_span.measured ~num_pus:pus ~pred trace ~tasks
           in
-          ( e.Workloads.Registry.name,
-            Interp.Trace.stats trace,
-            trace.Interp.Trace.dyn_insns,
-            Array.length tasks,
-            span ))
+          (e.Workloads.Registry.name, trace, Array.length tasks, span))
         entries
     in
-    Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %7s %8s\n" "workload"
-      "events" "insns" "addrs" "w/ev" "boxed" "ratio" "KB" "tasks" "span";
+    Printf.printf "%-10s %9s %9s %9s %6s %8s %7s %8s\n" "workload" "events"
+      "insns" "addrs" "w/ev" "KB" "tasks" "span";
     let tot_ev = ref 0 in
     let tot_heap = ref 0 in
-    let tot_boxed = ref 0 in
     List.iter
-      (fun (name, (s : Interp.Trace.mem_stats), insns, tasks, span) ->
-        tot_ev := !tot_ev + s.Interp.Trace.events;
-        tot_heap := !tot_heap + s.Interp.Trace.heap_words;
-        tot_boxed := !tot_boxed + s.Interp.Trace.boxed_words;
-        let per f = float_of_int f /. float_of_int (max 1 s.Interp.Trace.events) in
-        Printf.printf "%-10s %9d %9d %9d %6.2f %6.2f %5.1fx %8.1f %7d %8.0f\n"
-          name s.Interp.Trace.events insns
-          s.Interp.Trace.addrs
-          (per s.Interp.Trace.heap_words)
-          (per s.Interp.Trace.boxed_words)
-          (float_of_int s.Interp.Trace.boxed_words
-          /. float_of_int (max 1 s.Interp.Trace.heap_words))
-          (float_of_int (s.Interp.Trace.heap_words * (Sys.word_size / 8))
-          /. 1024.0)
+      (fun (name, trace, tasks, span) ->
+        let events = Interp.Trace.num_events trace in
+        let heap = Interp.Trace.heap_words trace in
+        tot_ev := !tot_ev + events;
+        tot_heap := !tot_heap + heap;
+        Printf.printf "%-10s %9d %9d %9d %6.2f %8.1f %7d %8.0f\n" name events
+          trace.Interp.Trace.dyn_insns trace.Interp.Trace.n_addrs
+          (float_of_int heap /. float_of_int (max 1 events))
+          (float_of_int (Interp.Trace.bytes trace) /. 1024.0)
           tasks span)
       per_workload;
     Printf.printf
-      "total: %d events, %d packed words (%.2f w/ev) vs %d boxed (%.2f w/ev), \
-       %.1fx; store holds %.1f KB of traces\n"
+      "total: %d events, %d packed words (%.2f w/ev); store holds %.1f KB \
+       of traces\n"
       !tot_ev !tot_heap
       (float_of_int !tot_heap /. float_of_int (max 1 !tot_ev))
-      !tot_boxed
-      (float_of_int !tot_boxed /. float_of_int (max 1 !tot_ev))
-      (float_of_int !tot_boxed /. float_of_int (max 1 !tot_heap))
       (float_of_int (Harness.Artifact.trace_bytes store) /. 1024.0)
   in
   Cmd.v
@@ -770,10 +745,7 @@ let fuzz_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      (try Harness.Job.export ~path ~fuzz:o.Fuzz.o_records [] with
-      | Sys_error msg ->
-        Printf.eprintf "msc: cannot write fuzz records: %s\n" msg;
-        exit 1);
+      write_json path (Harness.Job.to_json ~fuzz:o.Fuzz.o_records []);
       Printf.printf "wrote %s (%d fuzz records)\n" path
         (List.length o.Fuzz.o_records));
     match o.Fuzz.o_violations with
@@ -968,10 +940,7 @@ let bench_time_cmd =
               ] );
         ]
     in
-    let oc = open_out out in
-    output_string oc (Harness.Json.to_string ~indent:true json);
-    output_char oc '\n';
-    close_out oc;
+    write_json out json;
     Printf.printf
       "table1 %.2fs, figure5 %.2fs (%.1fx vs %.1fs seed), cost %.2fs, \
        fuzz[%d] %.2fs, figure5[j=%d] %.2fs (%.2fx vs serial); wrote %s\n"

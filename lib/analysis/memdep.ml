@@ -245,8 +245,10 @@ let width = function
     else if v.stride = 0 then Some 1
     else
       let span = v.hi - v.lo in
-      if span < 0 then None (* wrapped: > max_int points *)
-      else Some ((span / max 1 v.stride) + 1)
+      let steps = span / max 1 v.stride in
+      (* a negative span wrapped; steps = max_int means max_int + 1
+         points: either way the count exceeds max_int *)
+      if span < 0 || steps = max_int then None else Some (steps + 1)
 
 let pp_bound ppf x =
   if x = neg_inf then Format.pp_print_string ppf "-inf"

@@ -72,46 +72,6 @@ let results_of_store store =
       else None)
     (Artifact.sim_results store)
 
-(* --- trace statistics ------------------------------------------------------ *)
-
-type trace_stat = {
-  t_workload : string;
-  t_level : Core.Heuristics.level;
-  t_events : int;
-  t_insns : int;
-  t_addrs : int;
-  t_heap_words : int;
-  t_boxed_words : int;
-  t_bytes : int;
-}
-
-let trace_stat_of_trace ~workload ~level (trace : Interp.Trace.t) =
-  let s = Interp.Trace.stats trace in
-  {
-    t_workload = workload;
-    t_level = level;
-    t_events = s.Interp.Trace.events;
-    t_insns = trace.Interp.Trace.dyn_insns;
-    t_addrs = s.Interp.Trace.addrs;
-    t_heap_words = s.Interp.Trace.heap_words;
-    t_boxed_words = s.Interp.Trace.boxed_words;
-    t_bytes = Interp.Trace.bytes trace;
-  }
-
-let trace_stats_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), trace) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        Some
-          (trace_stat_of_trace ~workload:key.Artifact.workload
-             ~level:key.Artifact.level trace)
-      else None)
-    (Artifact.traces store)
-
 (* --- cycle-accounting breakdowns ------------------------------------------- *)
 
 type account = {
@@ -343,21 +303,6 @@ let result_to_json r =
       ("window_span", Json.Float r.window_span);
     ]
 
-let to_json results = Json.List (List.map result_to_json results)
-
-let trace_stat_to_json t =
-  Json.Obj
-    [
-      ("workload", Json.String t.t_workload);
-      ("level", Json.String (level_tag t.t_level));
-      ("events", Json.Int t.t_events);
-      ("dyn_insns", Json.Int t.t_insns);
-      ("addrs", Json.Int t.t_addrs);
-      ("heap_words", Json.Int t.t_heap_words);
-      ("boxed_words", Json.Int t.t_boxed_words);
-      ("bytes", Json.Int t.t_bytes);
-    ]
-
 (* Integer-only on purpose: percentages are derived by readers, so the
    golden-snapshot diffs in test/golden/ never chase float formatting. *)
 let account_to_json a =
@@ -469,13 +414,13 @@ let fuzz_to_json z =
 let accounts_to_json accounts =
   Json.Obj [ ("accounts", Json.List (List.map account_to_json accounts)) ]
 
-let export_accounts ~path accounts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (accounts_to_json accounts));
-      output_char oc '\n')
+let to_json ?fuzz results =
+  Json.Obj
+    (("jobs", Json.List (List.map result_to_json results))
+    ::
+    (match fuzz with
+    | None -> []
+    | Some zs -> [ ("fuzz", Json.List (List.map fuzz_to_json zs)) ]))
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -541,44 +486,16 @@ let result_of_json j =
       window_span;
     }
 
-let results_of_list items =
-  List.fold_right
-    (fun item acc ->
-      let* rest = acc in
-      let* r = result_of_json item in
-      Ok (r :: rest))
-    items (Ok [])
+let of_json j =
+  match Json.member "jobs" j with
+  | Some (Json.List items) ->
+    List.fold_right
+      (fun item acc ->
+        let* rest = acc in
+        let* r = result_of_json item in
+        Ok (r :: rest))
+      items (Ok [])
+  | Some _ -> Error "field \"jobs\": expected a list of results"
+  | None -> Error "expected an object with a \"jobs\" member"
 
-let of_json = function
-  (* legacy shape: a bare list of job results *)
-  | Json.List items -> results_of_list items
-  (* current shape: an object whose "jobs" member is that list (other
-     members, e.g. "trace", carry section-specific statistics) *)
-  | Json.Obj _ as j -> (
-    match Json.member "jobs" j with
-    | Some (Json.List items) -> results_of_list items
-    | Some _ -> Error "field \"jobs\": expected a list of results"
-    | None -> Error "missing field \"jobs\"")
-  | _ -> Error "expected a top-level list or object of results"
-
-let export ~path ?trace ?fuzz results =
-  let json =
-    match (trace, fuzz) with
-    (* legacy shape when no section rides along *)
-    | None, None -> to_json results
-    | _ ->
-      let section name to_json = function
-        | None -> []
-        | Some items -> [ (name, Json.List (List.map to_json items)) ]
-      in
-      Json.Obj
-        (("jobs", to_json results)
-         :: (section "trace" trace_stat_to_json trace
-            @ section "fuzz" fuzz_to_json fuzz))
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n')
+let export ~path ?fuzz results = Json.to_file path (to_json ?fuzz results)

@@ -61,31 +61,6 @@ val results_of_store : Artifact.t -> result list
     default-machine simulation whose pipeline used default parameters, the
     baseline variant and self-profiling, in deterministic order. *)
 
-(** {1 Trace statistics}
-
-    Alongside simulation results, a store holds the packed traces the
-    pipelines produced; their memory statistics ride along in the JSON
-    export as the "trace" section. *)
-
-type trace_stat = {
-  t_workload : string;
-  t_level : Core.Heuristics.level;
-  t_events : int;       (** dynamic block instances *)
-  t_insns : int;        (** dynamic instructions *)
-  t_addrs : int;        (** effective addresses recorded *)
-  t_heap_words : int;   (** resident heap words, packed representation *)
-  t_boxed_words : int;  (** what the legacy boxed layout would occupy *)
-  t_bytes : int;        (** packed resident bytes *)
-}
-
-val trace_stat_of_trace :
-  workload:string -> level:Core.Heuristics.level -> Interp.Trace.t -> trace_stat
-
-val trace_stats_of_store : Artifact.t -> trace_stat list
-(** Memory statistics of every cached packed trace built with default
-    parameters, baseline variant and self-profiling, in deterministic
-    order (the trace-side counterpart of {!results_of_store}). *)
-
 (** {1 Cycle-accounting breakdowns}
 
     A store's memoized simulations carry their {!Sim.Account.t} breakdown
@@ -170,8 +145,7 @@ val dep_violations : dep -> int
 
 val deps_of_store : Artifact.t -> dep list
 (** Dependence summary of every cached default-parameter pipeline, baseline
-    variant and self-profiling — same selection and order as
-    {!trace_stats_of_store}. *)
+    variant and self-profiling, in deterministic order. *)
 
 val dep_to_json : dep -> Json.t
 (** Integer-only counts (plus the derived [violations]); ratio metrics are
@@ -209,16 +183,12 @@ val account_to_json : account -> Json.t
 val accounts_to_json : account list -> Json.t
 (** The [{"accounts": [...]}] object written to [bench/account.json]. *)
 
-val export_accounts : path:string -> account list -> unit
-(** Write {!accounts_to_json} to [path] (with a trailing newline). *)
-
 (** {1 Fuzz corpus summaries}
 
     Per-profile aggregates of a differential fuzzing run ({!Fuzz} in
     [lib/fuzz]): how many generated programs went through which oracles and
     how many passed.  These ride along in [results.json] (and
-    [bench/fuzz.json]) as the "fuzz" member, next to the trace/account/
-    dep/cost records. *)
+    [bench/fuzz.json]) as the "fuzz" member, next to "jobs". *)
 
 type fuzz = {
   z_seed : int;            (** corpus root seed *)
@@ -241,16 +211,13 @@ type fuzz = {
 val fuzz_to_json : fuzz -> Json.t
 (** Integer-only counts, like accounts and deps. *)
 
-val to_json : result list -> Json.t
+val to_json : ?fuzz:fuzz list -> result list -> Json.t
+(** The [results.json] object: a "jobs" member holding the results, plus a
+    "fuzz" member when [fuzz] is given. *)
 
 val of_json : Json.t -> (result list, string) Stdlib.result
-(** Accepts both export shapes: the legacy bare list of job results and the
-    current [{"jobs": [...], ...}] object. *)
+(** The "jobs" member of a {!to_json} object; [Error] on any other shape. *)
 
-val export :
-  path:string -> ?trace:trace_stat list -> ?fuzz:fuzz list -> result list ->
-  unit
-(** Write the results to [path] (with a trailing newline).  Without [trace]
-    and [fuzz] the file is the legacy bare list; with either, an object
-    with a "jobs" member plus a "trace" / "fuzz" member per given section
-    (the dual-shape contract {!of_json} reads). *)
+val export : path:string -> ?fuzz:fuzz list -> result list -> unit
+(** Write {!to_json} to [path] with {!Json.to_file}.
+    @raise Sys_error if [path] cannot be written. *)

@@ -237,3 +237,11 @@ let parse s =
 let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
+
+let to_file path t =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string t);
+      output_char oc '\n')

@@ -19,6 +19,11 @@ type t =
 val to_string : ?indent:bool -> t -> string
 (** [indent] (default true) pretty-prints with two-space indentation. *)
 
+val to_file : string -> t -> unit
+(** [to_file path t] writes the indented {!to_string} of [t] plus a
+    trailing newline to [path].
+    @raise Sys_error if [path] cannot be opened or written. *)
+
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the exact grammar [to_string] emits (plus
     arbitrary whitespace); the standard JSON escapes (backslash-quote,

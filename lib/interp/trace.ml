@@ -43,7 +43,6 @@ type t = {
   n_addrs : int;
   dyn_insns : int;
   sizes : int array array;
-  alloc_words : int;
 }
 
 let fid t name =
@@ -83,15 +82,6 @@ let block_size t ~fid ~blk = t.sizes.(fid).(blk)
 
 (* --- memory accounting ---------------------------------------------------- *)
 
-type mem_stats = {
-  events : int;
-  addrs : int;
-  heap_words : int;
-  boxed_words : int;
-  build_alloc_words : int;
-  boxed_alloc_words : int;
-}
-
 let heap_words t =
   let sizes_words =
     Array.fold_left (fun acc row -> acc + 1 + Array.length row) 0 t.sizes
@@ -101,27 +91,6 @@ let heap_words t =
   + sizes_words
 
 let bytes t = heap_words t * (Sys.word_size / 8)
-
-let stats t =
-  (* the legacy layout: an [event array] of pointers to 3-field records,
-     each holding a per-event [int array] of addresses (the empty-address
-     case shared one static [||]) *)
-  let nonzero = ref 0 in
-  for i = 0 to t.n_events - 1 do
-    if addr_count t i > 0 then incr nonzero
-  done;
-  let boxed_words = 1 + (5 * t.n_events) + !nonzero + t.n_addrs in
-  (* plus the two list-accumulation passes the legacy producer ran through:
-     one 3-word cons cell per event and per address *)
-  let boxed_alloc_words = boxed_words + (3 * t.n_events) + (3 * t.n_addrs) in
-  {
-    events = t.n_events;
-    addrs = t.n_addrs;
-    heap_words = heap_words t;
-    boxed_words;
-    build_alloc_words = t.alloc_words;
-    boxed_alloc_words;
-  }
 
 (* --- self-check ------------------------------------------------------------ *)
 
@@ -197,7 +166,6 @@ module Builder = struct
     mutable awords : int array;
     mutable na : int;
     mutable wide : bool;
-    mutable allocated : int;
   }
 
   type t = buf
@@ -211,7 +179,6 @@ module Builder = struct
       awords = Array.make initial 0;
       na = 0;
       wide = false;
-      allocated = 2 * (initial + 1);
     }
 
   let grow_events b need =
@@ -219,8 +186,7 @@ module Builder = struct
       let cap = max need (2 * Array.length b.ewords) in
       let fresh = Array.make cap 0 in
       Array.blit b.ewords 0 fresh 0 b.n;
-      b.ewords <- fresh;
-      b.allocated <- b.allocated + cap + 1
+      b.ewords <- fresh
     end
 
   let grow_addr_words b need =
@@ -228,8 +194,7 @@ module Builder = struct
       let cap = max need (2 * Array.length b.awords) in
       let fresh = Array.make cap 0 in
       Array.blit b.awords 0 fresh 0 (Array.length b.awords);
-      b.awords <- fresh;
-      b.allocated <- b.allocated + cap + 1
+      b.awords <- fresh
     end
 
   let start_event b ~fid ~blk =
@@ -253,8 +218,7 @@ module Builder = struct
         (b.awords.(k lsr 1) lsr (narrow_bits * (k land 1))) land narrow_mask
     done;
     b.awords <- fresh;
-    b.wide <- true;
-    b.allocated <- b.allocated + cap + 1
+    b.wide <- true
 
   let push_addr b v =
     if b.na >= max_off then
@@ -290,7 +254,6 @@ module Builder = struct
     let packed = Array.sub b.ewords 0 (b.n + 1) in
     let pool_len = if b.wide then b.na else (b.na + 1) / 2 in
     let apool = Array.sub b.awords 0 pool_len in
-    b.allocated <- b.allocated + (b.n + 2) + (pool_len + 1);
     let sizes =
       Array.map
         (fun f ->
@@ -309,6 +272,5 @@ module Builder = struct
       n_addrs = b.na;
       dyn_insns;
       sizes;
-      alloc_words = b.allocated;
     }
 end

@@ -34,9 +34,6 @@ type t = {
   sizes : int array array;
       (** memoized [Ir.Block.size]: [sizes.(fid).(blk)], so per-event size
           lookups never re-fetch [Ir.Func.block] *)
-  alloc_words : int;
-      (** heap words the builder allocated in total, growth copies
-          included (the packed build's churn figure) *)
 }
 
 val fid : t -> string -> int
@@ -83,21 +80,6 @@ val block_size : t -> fid:int -> blk:Ir.Block.label -> int
 (** The memoized size table itself, for callers that already decoded. *)
 
 (** {1 Memory accounting} *)
-
-type mem_stats = {
-  events : int;
-  addrs : int;
-  heap_words : int;  (** resident heap words of the packed representation *)
-  boxed_words : int;
-      (** resident words the legacy boxed representation (one record plus
-          one address array per event) would occupy *)
-  build_alloc_words : int;  (** words the packed builder allocated *)
-  boxed_alloc_words : int;
-      (** words the legacy list-accumulate-and-reverse-fill producer
-          allocated while building *)
-}
-
-val stats : t -> mem_stats
 
 val heap_words : t -> int
 (** Resident heap words: packed event words + address pool + size table,

@@ -88,18 +88,16 @@ let handle_op t (op : Protocol.op) : Json.t =
           (f + 1, n + Array.length p.Core.Task.tasks))
         parts (0, 0)
     in
-    let ts =
-      Job.trace_stat_of_trace ~workload ~level art.Harness.Artifact.trace
-    in
+    let trace = art.Harness.Artifact.trace in
     Json.Obj
       [
         ("workload", Json.String workload);
         ("level", Json.String (Job.level_tag level));
         ("funcs", Json.Int funcs);
         ("tasks", Json.Int tasks);
-        ("events", Json.Int ts.Job.t_events);
-        ("insns", Json.Int ts.Job.t_insns);
-        ("trace_bytes", Json.Int ts.Job.t_bytes);
+        ("events", Json.Int (Interp.Trace.num_events trace));
+        ("insns", Json.Int trace.Interp.Trace.dyn_insns);
+        ("trace_bytes", Json.Int (Interp.Trace.bytes trace));
       ]
   | Protocol.Deps { workload; level } ->
     let _, art = artifact t ~workload ~level in

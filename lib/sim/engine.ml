@@ -371,7 +371,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       (if k = 0 then complete else max complete (retire.(k - 1) + 1));
     pu_free.(pu) <- retire.(k) + cfg.Config.task_end_overhead;
     (* register the task's outgoing values on the ring, per-register in
-       descending register order — the order of the old reg_writes list —
+       descending register order (as the frozen lib/sim_ref core does),
        because ring-slot contention makes registration order visible to
        send times *)
     let rc = regcomms.(inst.Dyntask.fid) in
@@ -442,7 +442,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     Account.add acct Account.Mem_squash (!assign_t - a0);
     Account.add acct Account.Overhead
       (cfg.Config.task_start_overhead + cfg.Config.task_end_overhead);
-    Timing.attribute_ctx tctx
+    Timing.attribute tctx
       ~start_fetch:(!assign_t + cfg.Config.task_start_overhead) acct;
     Account.add acct Account.Load_imbalance (retire.(k) - complete);
     (match observer with

@@ -11,18 +11,8 @@
    re-probing a hashtable cycle by cycle, the scheduler jumps to the next
    cycle with a free slot.  Sites are packed into single ints
    (fid lsl 36 | blk lsl 16 | idx) and the loads / stores / event-entry
-   results are growable parallel int arrays.
-
-   The legacy closure-based [run] entry point is kept as a thin wrapper
-   (it materialises the old [result] record) so existing callers and the
-   unit tests in test/test_timing.ml are unaffected; the engine drives
-   [exec] directly through a [hooks] record created once per run. *)
-
-type site = {
-  s_fid : int;
-  s_blk : Ir.Block.label;
-  s_idx : int;
-}
+   results are growable parallel int arrays.  The engine drives [exec]
+   through a [hooks] record created once per run. *)
 
 (* packed sites: fid lsl 36 | blk lsl 16 | idx *)
 let pack_site ~fid ~blk ~idx = (fid lsl 36) lor (blk lsl 16) lor idx
@@ -30,45 +20,10 @@ let site_fid p = p lsr 36
 let site_blk p = (p lsr 16) land 0xFFFFF
 let site_idx p = p land 0xFFFF
 
-type env = {
-  start_fetch : int;
-  reg_avail : Ir.Reg.t -> int;
-  mem_dep : addr:int -> load_site:int -> (int * bool) option;
-  load_lat : addr:int -> int;
-  mem_slot : addr:int -> at:int -> int;
-  ifetch_extra : fid:int -> blk:Ir.Block.label -> int;
-  cond_pred : pc:int -> taken:bool -> bool;
-  switch_pred : pc:int -> actual:int -> bool;
-  mem_hold : int;
-}
-
-type mem_op = {
-  m_addr : int;
-  m_time : int;
-  m_site : site;
-}
-
-type result = {
-  complete : int;
-  resolve : int;
-  event_entry : int array;
-  dyn_insns : int;
-  intra_branches : int;
-  intra_mispredicts : int;
-  reg_writes : (Ir.Reg.t * int * site) list;
-  loads : mem_op list;
-  stores : mem_op list;
-  distinct_addrs : int;
-  inter_wait : int;
-  intra_wait : int;
-  sync_waits : int;
-}
-
 (* Inter-task inputs, provided by the engine once per run; the closures
    read mutable engine state (current task index, assignment time), so no
-   per-attempt environment is ever allocated.  [mem_dep] packs the old
-   [(int * bool) option] as an int: -1 for None, else (avail lsl 1) lor
-   synced. *)
+   per-attempt environment is ever allocated.  [h_mem_dep] answers -1
+   when no older task writes the address, else (avail lsl 1) lor synced. *)
 type hooks = {
   h_reg_avail : Ir.Reg.t -> int;
   h_mem_dep : addr:int -> load_site:int -> int;
@@ -635,77 +590,14 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
   ctx.complete <- ctx.last_commit;
   ctx.distinct_addrs <- Occ.Intmap.cardinal ctx.addr_seen
 
-(* --- legacy closure-based entry point ------------------------------------ *)
-
-let unpack_site p = { s_fid = site_fid p; s_blk = site_blk p; s_idx = site_idx p }
-
-let hooks_of_env (env : env) =
-  {
-    h_reg_avail = env.reg_avail;
-    h_mem_dep =
-      (fun ~addr ~load_site ->
-        match env.mem_dep ~addr ~load_site with
-        | None -> -1
-        | Some (t, synced) -> (t lsl 1) lor (if synced then 1 else 0));
-    h_load_lat = env.load_lat;
-    h_mem_slot = env.mem_slot;
-    h_ifetch_extra = env.ifetch_extra;
-    h_cond_pred = env.cond_pred;
-    h_switch_pred = env.switch_pred;
-  }
-
-let run (cfg : Config.t) (trace : Interp.Trace.t) layout
-    (inst : Dyntask.instance) env =
-  let ctx = create cfg trace layout in
-  exec ctx inst ~start_fetch:env.start_fetch ~mem_hold:env.mem_hold
-    (hooks_of_env env);
-  let reg_writes = ref [] in
-  for r = 0 to Ir.Reg.count - 1 do
-    if ctx.local_time.(r) >= 0 then
-      reg_writes :=
-        (r, ctx.local_time.(r), unpack_site ctx.local_site.(r)) :: !reg_writes
-  done;
-  let ops n addr time site =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      acc :=
-        { m_addr = addr.(i); m_time = time.(i); m_site = unpack_site site.(i) }
-        :: !acc
-    done;
-    !acc
-  in
-  {
-    complete = ctx.complete;
-    resolve = ctx.resolve;
-    event_entry = Array.sub ctx.event_entry 0 ctx.n_events_inst;
-    dyn_insns = ctx.dyn_insns;
-    intra_branches = ctx.intra_branches;
-    intra_mispredicts = ctx.intra_mispredicts;
-    reg_writes = !reg_writes;
-    loads = ops ctx.n_loads ctx.l_addr ctx.l_time ctx.l_site;
-    stores = ops ctx.n_stores ctx.s_addr ctx.s_time ctx.s_site;
-    distinct_addrs = ctx.distinct_addrs;
-    inter_wait = ctx.inter_wait;
-    intra_wait = ctx.intra_wait;
-    sync_waits = ctx.sync_waits;
-  }
-
 (* Split an instance's execution window between useful work and inter-task
    data waits.  [inter_wait] is a per-instruction sum of issue cycles lost to
    operands produced by older tasks (ring arrivals, ARB forwards, overflow
    holds); with multiple instructions blocked on the same arrival it can
    exceed the wall-clock window, so it is clamped — attribution charges each
    wall-clock cycle at most once. *)
-let attribute_window ~complete ~inter_wait ~start_fetch acct =
-  let window = max 0 (complete - start_fetch) in
-  let data_wait = min inter_wait window in
+let attribute (ctx : ctx) ~start_fetch acct =
+  let window = max 0 (ctx.complete - start_fetch) in
+  let data_wait = min ctx.inter_wait window in
   Account.add acct Account.Data_wait data_wait;
   Account.add acct Account.Useful (window - data_wait)
-
-let attribute (res : result) ~start_fetch acct =
-  attribute_window ~complete:res.complete ~inter_wait:res.inter_wait
-    ~start_fetch acct
-
-let attribute_ctx (ctx : ctx) ~start_fetch acct =
-  attribute_window ~complete:ctx.complete ~inter_wait:ctx.inter_wait
-    ~start_fetch acct

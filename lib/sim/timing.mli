@@ -9,76 +9,7 @@
 
     Inter-task inputs (operand arrival through the register ring, memory
     values forwarded from older tasks' stores) are provided by the engine
-    through {!env}; the computation is deterministic given those. *)
-
-type site = {
-  s_fid : int;
-  s_blk : Ir.Block.label;
-  s_idx : int;  (** instruction index; block terminators use [length insns] *)
-}
-
-type env = {
-  start_fetch : int;  (** cycle at which the PU starts fetching the task *)
-  reg_avail : Ir.Reg.t -> int;
-      (** arrival time of an operand not produced inside the instance *)
-  mem_dep : addr:int -> load_site:int -> (int * bool) option;
-      (** is the youngest older in-flight task writing [addr]?  Returns the
-          forwarded value's availability time and whether the sync table
-          holds this (load, store) pair — if so the load waits (Moshovos
-          synchronization) instead of speculating *)
-  load_lat : addr:int -> int;   (** D-cache hierarchy latency *)
-  mem_slot : addr:int -> at:int -> int;
-      (** reserve a D-cache/ARB bank port shared across the PUs: returns the
-          earliest cycle at or after [at] when the address's bank is free *)
-  ifetch_extra : fid:int -> blk:Ir.Block.label -> int;
-      (** extra fetch cycles on an I-cache miss for the block *)
-  cond_pred : pc:int -> taken:bool -> bool;  (** gshare; returns correct? *)
-  switch_pred : pc:int -> actual:int -> bool;
-  mem_hold : int;
-      (** memory operations may not issue before this cycle (used to model
-          ARB-overflow serialisation); 0 normally *)
-}
-
-type mem_op = {
-  m_addr : int;
-  m_time : int;   (** execution (value read / ARB write) time *)
-  m_site : site;
-}
-
-type result = {
-  complete : int;   (** commit time of the last instruction *)
-  resolve : int;    (** completion of the last control-transfer insn *)
-  event_entry : int array;
-      (** fetch time at the start of each event of the instance (indexed
-          from the instance's first event) — the engine uses these as the
-          execution times of compiler-inserted register-release points *)
-  dyn_insns : int;
-  intra_branches : int;
-  intra_mispredicts : int;
-  reg_writes : (Ir.Reg.t * int * site) list;
-      (** dynamically-last write per register: completion time and site *)
-  loads : mem_op list;    (** in program order *)
-  stores : mem_op list;
-  distinct_addrs : int;   (** speculative ARB footprint of the task *)
-  inter_wait : int;  (** issue cycles lost waiting on inter-task operands *)
-  intra_wait : int;  (** issue cycles lost waiting on intra-task operands *)
-  sync_waits : int;  (** loads held back by the synchronization table *)
-}
-
-val run :
-  Config.t -> Interp.Trace.t -> Layout.t -> Dyntask.instance -> env -> result
-(** Legacy entry point: allocates a fresh context, executes the instance and
-    materialises a {!result} record.  Kept for unit tests and one-shot
-    callers; the engine's hot path drives {!exec} on a reused {!ctx}. *)
-
-val attribute : result -> start_fetch:int -> Account.t -> unit
-(** Charge the instance's execution window ([start_fetch] .. [complete]) to
-    {!Account.Data_wait} (inter-task operand waits, clamped to the window)
-    and {!Account.Useful} (everything else, including intra-task dependence
-    and structural stalls — uniprocessor costs, per the paper's §2 framing of
-    task-selection issues). *)
-
-(** {2 Event-core fast path}
+    through {!hooks}; the computation is deterministic given those.
 
     The engine allocates one {!ctx} per simulation and calls {!exec} for
     every attempt of every dynamic task instance; all scratch state is
@@ -88,16 +19,23 @@ val attribute : result -> start_fetch:int -> Account.t -> unit
 
 (** Inter-task inputs as a record of closures created once per run (the
     closures read the engine's mutable per-task state, so nothing is
-    allocated per attempt).  [h_mem_dep] packs the legacy
-    [(avail, synced) option] as an int: [-1] for [None], else
-    [(avail lsl 1) lor synced]. *)
+    allocated per attempt). *)
 type hooks = {
   h_reg_avail : Ir.Reg.t -> int;
+      (** arrival time of an operand not produced inside the instance *)
   h_mem_dep : addr:int -> load_site:int -> int;
-  h_load_lat : addr:int -> int;
+      (** is the youngest older in-flight task writing [addr]?  [-1] if
+          not, else [(avail lsl 1) lor synced]: the forwarded value's
+          availability time and whether the sync table holds this
+          (load, store) pair — if so the load waits (Moshovos
+          synchronization) instead of speculating *)
+  h_load_lat : addr:int -> int;  (** D-cache hierarchy latency *)
   h_mem_slot : addr:int -> at:int -> int;
+      (** reserve a D-cache/ARB bank port shared across the PUs: returns the
+          earliest cycle at or after [at] when the address's bank is free *)
   h_ifetch_extra : fid:int -> blk:Ir.Block.label -> int;
-  h_cond_pred : pc:int -> taken:bool -> bool;
+      (** extra fetch cycles on an I-cache miss for the block *)
+  h_cond_pred : pc:int -> taken:bool -> bool;  (** gshare; returns correct? *)
   h_switch_pred : pc:int -> actual:int -> bool;
 }
 
@@ -121,14 +59,19 @@ type ctx = {
   local_store : Occ.Intmap.t;
   addr_seen : Occ.Intmap.t;
   mutable l_addr : int array;
+      (** externally visible loads, in program order: address, execution
+          time and packed site, valid for [[0, n_loads)] *)
   mutable l_time : int array;
   mutable l_site : int array;
   mutable n_loads : int;
-  mutable s_addr : int array;
+  mutable s_addr : int array;  (** stores, laid out like the loads *)
   mutable s_time : int array;
   mutable s_site : int array;
   mutable n_stores : int;
-  mutable event_entry : int array;  (** valid for [0, n_events_inst) *)
+  mutable event_entry : int array;
+      (** fetch time at the start of each event of the instance, valid for
+          [[0, n_events_inst)] — the engine uses these as the execution
+          times of compiler-inserted register-release points *)
   mutable n_events_inst : int;
   mutable h : hooks;  (** hooks and scheduler state of the current attempt *)
   mutable mem_hold : int;
@@ -137,15 +80,15 @@ type ctx = {
   mutable insn_counter : int;
   mutable last_commit : int;
   mutable last_issue : int;
-  mutable complete : int;
-  mutable resolve : int;
+  mutable complete : int;  (** commit time of the last instruction *)
+  mutable resolve : int;  (** completion of the last control-transfer insn *)
   mutable dyn_insns : int;
   mutable intra_branches : int;
   mutable intra_mispredicts : int;
-  mutable distinct_addrs : int;
-  mutable inter_wait : int;
-  mutable intra_wait : int;
-  mutable sync_waits : int;
+  mutable distinct_addrs : int;  (** speculative ARB footprint of the task *)
+  mutable inter_wait : int;  (** issue cycles lost waiting on inter-task operands *)
+  mutable intra_wait : int;  (** issue cycles lost waiting on intra-task operands *)
+  mutable sync_waits : int;  (** loads held back by the synchronization table *)
 }
 
 val pack_site : fid:int -> blk:int -> idx:int -> int
@@ -154,15 +97,21 @@ val pack_site : fid:int -> blk:int -> idx:int -> int
 val site_fid : int -> int
 val site_blk : int -> int
 val site_idx : int -> int
-val unpack_site : int -> site
 
 val create : Config.t -> Interp.Trace.t -> Layout.t -> ctx
 
 val exec :
   ctx -> Dyntask.instance -> start_fetch:int -> mem_hold:int -> hooks -> unit
-(** Replay one instance, overwriting the context's result fields.  Cycle-
-    for-cycle equivalent to {!run} (the qcheck differential in
-    test/test_event_core.ml pins this against the frozen pre-event core). *)
+(** Replay one instance fetched from cycle [start_fetch], overwriting the
+    context's result fields.  Memory operations may not issue before
+    [mem_hold] (ARB-overflow serialisation; 0 normally).  The qcheck
+    differential in test/test_event_core.ml pins this cycle for cycle
+    against the frozen pre-event core. *)
 
-val attribute_ctx : ctx -> start_fetch:int -> Account.t -> unit
-(** {!attribute} reading the result from a context after {!exec}. *)
+val attribute : ctx -> start_fetch:int -> Account.t -> unit
+(** Charge the execution window of the instance last run by {!exec}
+    ([start_fetch] .. [complete]) to {!Account.Data_wait} (inter-task
+    operand waits, clamped to the window) and {!Account.Useful} (everything
+    else, including intra-task dependence and structural stalls —
+    uniprocessor costs, per the paper's §2 framing of task-selection
+    issues). *)

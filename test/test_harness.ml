@@ -257,7 +257,9 @@ let test_job_export_file () =
          | Error e -> Alcotest.fail e
          | Ok back -> checkb "file roundtrip" true (back = results)))
 
-let test_job_export_with_trace () =
+(* results.json has one shape: an object whose "jobs" member holds the
+   results; a bare list of results is rejected. *)
+let test_job_export_object_shape () =
   let store = Harness.Artifact.create () in
   let specs =
     Harness.Job.specs_for
@@ -266,32 +268,56 @@ let test_job_export_with_trace () =
       [ "compress" ]
   in
   let results = Harness.Job.run ~jobs:1 store specs in
-  let trace = Harness.Job.trace_stats_of_store store in
-  checki "one trace record per workload" 1 (List.length trace);
-  let t = List.hd trace in
-  checkb "events counted" true (t.Harness.Job.t_events > 0);
-  checkb "packed resident below boxed" true
-    (t.Harness.Job.t_heap_words < t.Harness.Job.t_boxed_words);
-  let path = Filename.temp_file "harness_results_trace" ".json" in
+  let path = Filename.temp_file "harness_results_shape" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Harness.Job.export ~path ~trace results;
+      Harness.Job.export ~path results;
       let ic = open_in_bin path in
       let contents = really_input_string ic (in_channel_length ic) in
       close_in ic;
       match Harness.Json.parse (String.trim contents) with
       | Error e -> Alcotest.fail e
-      | Ok parsed ->
-        (* the wrapped object shape still yields the same job results *)
-        (match Harness.Job.of_json parsed with
-         | Error e -> Alcotest.fail e
-         | Ok back -> checkb "jobs roundtrip through obj shape" true
-                        (back = results));
-        (match parsed with
-         | Harness.Json.Obj members ->
-           checkb "trace member present" true (List.mem_assoc "trace" members)
-         | _ -> Alcotest.fail "expected a JSON object at top level"))
+      | Ok (Harness.Json.Obj [ ("jobs", (Harness.Json.List _ as jobs)) ]) ->
+        checkb "bare list rejected" true
+          (Result.is_error (Harness.Job.of_json jobs));
+        checkb "empty bare list rejected" true
+          (Result.is_error (Harness.Job.of_json (Harness.Json.List [])))
+      | Ok _ -> Alcotest.fail "expected {\"jobs\": [...]} at top level")
+
+(* Every msc subcommand that writes a JSON file reports an unwritable path
+   as a user error (exit 1), never as an uncaught exception. *)
+let test_msc_unwritable_json () =
+  let file = Filename.temp_file "msc_not_a_dir" "" in
+  let target = Filename.concat file "out.json" in
+  let err = Filename.temp_file "msc_stderr" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file; Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "../bin/msc.exe %s --json %s > /dev/null 2> %s"
+                 args (Filename.quote target) (Filename.quote err))
+          in
+          let ic = open_in_bin err in
+          let msg = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          checki (args ^ ": exit status") 1 code;
+          let prefix = "msc: cannot write" in
+          let n = String.length prefix in
+          let rec mentions i =
+            i + n <= String.length msg
+            && (String.sub msg i n = prefix || mentions (i + 1))
+          in
+          checkb (args ^ ": reports the path") true (mentions 0))
+        [
+          "table1 --only compress"; "figure5 --only compress";
+          "breakdown --only compress -l bb -p 4"; "lint --only compress -l bb";
+          "deps --only compress -l bb"; "absint --only compress -l bb";
+          "cost --only compress -l bb"; "fuzz -n 1 -l bb";
+        ])
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -342,8 +368,10 @@ let () =
           Alcotest.test_case "spec grid" `Quick test_job_specs_grid;
           Alcotest.test_case "run + json" `Quick test_job_run_and_json_roundtrip;
           Alcotest.test_case "export file" `Quick test_job_export_file;
-          Alcotest.test_case "export with trace" `Quick
-            test_job_export_with_trace;
+          Alcotest.test_case "export object shape" `Quick
+            test_job_export_object_shape;
+          Alcotest.test_case "msc unwritable json" `Quick
+            test_msc_unwritable_json;
         ] );
       ( "stats",
         [ Alcotest.test_case "geomean" `Quick test_geomean ] );

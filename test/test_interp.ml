@@ -375,10 +375,7 @@ let test_trace_narrow_stays_packed () =
   let tr = (run (Gen.fib_program 10)).Interp.Run.trace in
   checkb "workload-range addresses keep the packed pool" false
     tr.Interp.Trace.awide;
-  checkb "audit passes" true (Interp.Trace.check tr = Ok ());
-  let s = Interp.Trace.stats tr in
-  checkb "packed resident beats boxed by 4x" true
-    (s.Interp.Trace.boxed_words >= 4 * s.Interp.Trace.heap_words)
+  checkb "audit passes" true (Interp.Trace.check tr = Ok ())
 
 let () =
   Alcotest.run "interp"

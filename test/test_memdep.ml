@@ -107,6 +107,14 @@ let prop_width_nonnegative =
     arbitrary_value (fun x ->
       match M.width x with Some w -> w >= 0 | None -> true)
 
+(* The QCHECK_SEED=479382242 counterexample of the property above: the
+   point count of [-1..max_int-1] is max_int + 1. *)
+let test_width_point_count_overflow () =
+  checkb "[-1..max_int-1] has no representable width" true
+    (M.width (M.range (-1) (max_int - 1)) = None);
+  checkb "[0..max_int-1] has max_int points" true
+    (M.width (M.range 0 (max_int - 1)) = Some max_int)
+
 let prop_join_contains_endpoints =
   QCheck.Test.make ~count:500
     ~name:"join of rail singletons contains both points"
@@ -335,6 +343,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_leq_reflexive;
           QCheck_alcotest.to_alcotest prop_contains_implies_intersect;
           QCheck_alcotest.to_alcotest prop_width_nonnegative;
+          Alcotest.test_case "width point-count overflow" `Quick
+            test_width_point_count_overflow;
           QCheck_alcotest.to_alcotest prop_join_contains_endpoints;
         ] );
       ( "analyze",

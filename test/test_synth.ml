@@ -180,7 +180,7 @@ let test_golden_clean name =
         (Fuzz.violation_text v)
         (List.length r.Fuzz.p_violations - 1))
 
-(* --- fuzz records survive the dual-shape results.json ------------------------ *)
+(* --- fuzz records ride along in results.json -------------------------------- *)
 
 let test_fuzz_export_shape () =
   let record =
@@ -209,12 +209,12 @@ let test_fuzz_export_shape () =
   let ic = open_in path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  (* the object shape still satisfies the dual-shape results.json readers *)
+  (* the fuzz member does not disturb the results.json reader *)
   match Harness.Json.parse text with
   | Error e -> Alcotest.failf "export does not parse: %s" e
   | Ok json ->
     (match Harness.Job.of_json json with
-    | Error e -> Alcotest.failf "dual-shape reader rejected export: %s" e
+    | Error e -> Alcotest.failf "results.json reader rejected export: %s" e
     | Ok results ->
       Alcotest.(check int) "jobs section readable (empty)" 0
         (List.length results));

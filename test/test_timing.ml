@@ -26,22 +26,28 @@ let instance_of body =
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
   (trace, layout, instances.(0))
 
-let default_env =
+let default_hooks =
   {
-    Sim.Timing.start_fetch = 0;
-    reg_avail = (fun _ -> 0);
-    mem_dep = (fun ~addr:_ ~load_site:_ -> None);
-    load_lat = (fun ~addr:_ -> 1);
-    mem_slot = (fun ~addr:_ ~at -> at);
-    ifetch_extra = (fun ~fid:_ ~blk:_ -> 0);
-    cond_pred = (fun ~pc:_ ~taken:_ -> true);
-    switch_pred = (fun ~pc:_ ~actual:_ -> true);
-    mem_hold = 0;
+    Sim.Timing.h_reg_avail = (fun _ -> 0);
+    h_mem_dep = (fun ~addr:_ ~load_site:_ -> -1);
+    h_load_lat = (fun ~addr:_ -> 1);
+    h_mem_slot = (fun ~addr:_ ~at -> at);
+    h_ifetch_extra = (fun ~fid:_ ~blk:_ -> 0);
+    h_cond_pred = (fun ~pc:_ ~taken:_ -> true);
+    h_switch_pred = (fun ~pc:_ ~actual:_ -> true);
   }
 
-let time ?(env = default_env) ?(cfg = cfg) body =
+(* Replay one instance on a fresh context; the results are read from the
+   context's fields. *)
+let exec ?(hooks = default_hooks) ?(start_fetch = 0) ?(mem_hold = 0) cfg
+    trace layout inst =
+  let ctx = Sim.Timing.create cfg trace layout in
+  Sim.Timing.exec ctx inst ~start_fetch ~mem_hold hooks;
+  ctx
+
+let time ?hooks ?start_fetch ?mem_hold ?(cfg = cfg) body =
   let trace, layout, inst = instance_of body in
-  Sim.Timing.run cfg trace layout inst env
+  exec ?hooks ?start_fetch ?mem_hold cfg trace layout inst
 
 let t0 = Ir.Reg.tmp 0
 let t1 = Ir.Reg.tmp 1
@@ -131,11 +137,11 @@ let test_rob_limits_overlap () =
     done;
     Ir.Builder.load b (Ir.Reg.tmp 10) t0 64
   in
-  let env = { default_env with Sim.Timing.load_lat = (fun ~addr:_ -> 100) } in
+  let hooks = { default_hooks with Sim.Timing.h_load_lat = (fun ~addr:_ -> 100) } in
   let small = { cfg with Sim.Config.rob_size = 4 } in
   let large = { cfg with Sim.Config.rob_size = 128; iq_size = 64 } in
-  let r_small = time ~env ~cfg:small body in
-  let r_large = time ~env ~cfg:large body in
+  let r_small = time ~hooks ~cfg:small body in
+  let r_large = time ~hooks ~cfg:large body in
   (* overlapped: ~1 load latency end-to-end; serialised: ~2 *)
   checkb "large ROB overlaps the loads" true
     (r_large.Sim.Timing.complete < 170);
@@ -151,9 +157,9 @@ let test_in_order_blocks_issue () =
     Ir.Builder.addi b t1 t1 1;
     Ir.Builder.load b (Ir.Reg.tmp 2) t0 64
   in
-  let env = { default_env with Sim.Timing.load_lat = (fun ~addr:_ -> 50) } in
-  let ooo = time ~env ~cfg body in
-  let io = time ~env ~cfg:cfg_io body in
+  let hooks = { default_hooks with Sim.Timing.h_load_lat = (fun ~addr:_ -> 50) } in
+  let ooo = time ~hooks ~cfg body in
+  let io = time ~hooks ~cfg:cfg_io body in
   checkb "in-order slower" true
     (io.Sim.Timing.complete > ooo.Sim.Timing.complete + 30)
 
@@ -185,10 +191,10 @@ let cycles_with_pred ~correct =
   in
   let instances = Sim.Dyntask.chop trace ~parts in
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
-  let env =
-    { default_env with Sim.Timing.cond_pred = (fun ~pc:_ ~taken:_ -> correct) }
+  let hooks =
+    { default_hooks with Sim.Timing.h_cond_pred = (fun ~pc:_ ~taken:_ -> correct) }
   in
-  let r = Sim.Timing.run cfg trace layout instances.(0) env in
+  let r = exec ~hooks cfg trace layout instances.(0) in
   (r.Sim.Timing.complete, r.Sim.Timing.intra_mispredicts, r.Sim.Timing.intra_branches)
 
 let test_branch_redirect_costs () =
@@ -206,9 +212,9 @@ let test_event_entries_monotonic () =
           Ir.Builder.li b (Ir.Reg.tmp (i mod 8)) i
         done)
   in
-  let r = Sim.Timing.run cfg trace layout inst default_env in
+  let r = exec cfg trace layout inst in
   let ok = ref true in
-  for i = 1 to Array.length r.Sim.Timing.event_entry - 1 do
+  for i = 1 to r.Sim.Timing.n_events_inst - 1 do
     if r.Sim.Timing.event_entry.(i) < r.Sim.Timing.event_entry.(i - 1) then
       ok := false
   done;
@@ -224,11 +230,12 @@ let test_sync_delays_load () =
     Ir.Builder.addi b Ir.Reg.rv t1 0
   in
   let free = time body in
-  let env =
-    { default_env with
-      Sim.Timing.mem_dep = (fun ~addr:_ ~load_site:_ -> Some (200, true)) }
+  (* forwarded at cycle 200, held by the sync table *)
+  let hooks =
+    { default_hooks with
+      Sim.Timing.h_mem_dep = (fun ~addr:_ ~load_site:_ -> (200 lsl 1) lor 1) }
   in
-  let synced = time ~env body in
+  let synced = time ~hooks body in
   checki "one sync wait" 1 synced.Sim.Timing.sync_waits;
   checkb "sync delays completion" true
     (synced.Sim.Timing.complete >= 200
@@ -239,17 +246,17 @@ let test_unsynced_dep_reports_load () =
     Ir.Builder.li b t0 4096;
     Ir.Builder.load b t1 t0 0
   in
-  let env =
-    { default_env with
-      Sim.Timing.mem_dep = (fun ~addr:_ ~load_site:_ -> Some (200, false)) }
+  (* forwarded at cycle 200, not in the sync table *)
+  let hooks =
+    { default_hooks with
+      Sim.Timing.h_mem_dep = (fun ~addr:_ ~load_site:_ -> 200 lsl 1) }
   in
-  let r = time ~env body in
+  let r = time ~hooks body in
   checki "no sync wait" 0 r.Sim.Timing.sync_waits;
   (* the speculative load executed early and is reported for violation
      checking *)
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "load early" true (ld.Sim.Timing.m_time < 100)
-  | _ -> Alcotest.fail "expected one load")
+  if r.Sim.Timing.n_loads <> 1 then Alcotest.fail "expected one load";
+  checkb "load early" true (r.Sim.Timing.l_time.(0) < 100)
 
 let test_local_forwarding_hides_load () =
   (* store then load of the same address: the load is locally forwarded and
@@ -261,32 +268,29 @@ let test_local_forwarding_hides_load () =
     Ir.Builder.load b Ir.Reg.rv t0 0
   in
   let r = time body in
-  checki "no externally-visible load" 0 (List.length r.Sim.Timing.loads);
-  checki "one store" 1 (List.length r.Sim.Timing.stores)
+  checki "no externally-visible load" 0 r.Sim.Timing.n_loads;
+  checki "one store" 1 r.Sim.Timing.n_stores
 
 let test_mem_hold () =
   let body b =
     Ir.Builder.li b t0 4096;
     Ir.Builder.load b t1 t0 0
   in
-  let held = { default_env with Sim.Timing.mem_hold = 150 } in
-  let r = time ~env:held body in
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "load held" true (ld.Sim.Timing.m_time >= 150)
-  | _ -> Alcotest.fail "expected one load")
+  let r = time ~mem_hold:150 body in
+  if r.Sim.Timing.n_loads <> 1 then Alcotest.fail "expected one load";
+  checkb "load held" true (r.Sim.Timing.l_time.(0) >= 150)
 
 let test_bank_slot_delays_access () =
   let body b =
     Ir.Builder.li b t0 4096;
     Ir.Builder.load b t1 t0 0
   in
-  let env =
-    { default_env with Sim.Timing.mem_slot = (fun ~addr:_ ~at -> at + 42) }
+  let hooks =
+    { default_hooks with Sim.Timing.h_mem_slot = (fun ~addr:_ ~at -> at + 42) }
   in
-  let r = time ~env body in
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "bank conflict delays" true (ld.Sim.Timing.m_time >= 42)
-  | _ -> Alcotest.fail "expected one load")
+  let r = time ~hooks body in
+  if r.Sim.Timing.n_loads <> 1 then Alcotest.fail "expected one load";
+  checkb "bank conflict delays" true (r.Sim.Timing.l_time.(0) >= 42)
 
 (* --- inter-task operands --------------------------------------------------- *)
 
@@ -297,10 +301,10 @@ let test_reg_avail_delays_dependents () =
     Ir.Builder.li b (Ir.Reg.tmp 2) 5
   in
   let late =
-    { default_env with
-      Sim.Timing.reg_avail = (fun r -> if r = t0 then 300 else 0) }
+    { default_hooks with
+      Sim.Timing.h_reg_avail = (fun r -> if r = t0 then 300 else 0) }
   in
-  let r = time ~env:late body in
+  let r = time ~hooks:late body in
   checkb "dependent waits" true (r.Sim.Timing.complete >= 300);
   checkb "wait attributed to communication" true (r.Sim.Timing.inter_wait > 0);
   let free = time body in
@@ -309,9 +313,7 @@ let test_reg_avail_delays_dependents () =
 let test_start_fetch_offsets_everything () =
   let body b = Ir.Builder.li b t0 1 in
   let r0 = time body in
-  let r100 =
-    time ~env:{ default_env with Sim.Timing.start_fetch = 100 } body
-  in
+  let r100 = time ~start_fetch:100 body in
   checki "pure offset" (r0.Sim.Timing.complete + 100) r100.Sim.Timing.complete
 
 let test_ifetch_extra_charged () =
@@ -321,10 +323,10 @@ let test_ifetch_extra_charged () =
     done
   in
   let slow =
-    { default_env with Sim.Timing.ifetch_extra = (fun ~fid:_ ~blk:_ -> 30) }
+    { default_hooks with Sim.Timing.h_ifetch_extra = (fun ~fid:_ ~blk:_ -> 30) }
   in
   let fast = time body in
-  let miss = time ~env:slow body in
+  let miss = time ~hooks:slow body in
   checkb "icache miss visible" true
     (miss.Sim.Timing.complete >= fast.Sim.Timing.complete + 30)
 

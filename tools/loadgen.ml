@@ -154,9 +154,6 @@ let () =
           ("server", server_stats);
         ]
     in
-    let oc = open_out !json_out in
-    output_string oc (Json.to_string ~indent:true report);
-    output_char oc '\n';
-    close_out oc
+    Json.to_file !json_out report
   end;
   exit (if failed > 0 then 1 else 0)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke check for the experiment/bench path: full build, the complete test
-# suite, static verification, then the Table 1, packed-trace memory,
-# cycle-accounting and static-dependence sections of the bench harness
+# suite, static verification, then the Table 1, cycle-accounting and
+# static-dependence sections of the bench harness
 # through the unified experiment engine (serial, so the output is stable).
 # The account section writes bench/account.json and exits non-zero if any
 # record violates the conservation invariant (categories summing to
@@ -18,7 +18,7 @@
 #
 # The bench-section checks are also wired as dune aliases:
 #
-#   dune build @bench-smoke   # table1 + trace + account sections
+#   dune build @bench-smoke   # table1 + account sections
 #   dune build @deps-smoke    # static-dependence soundness section
 #   dune build @absint-smoke  # flow-sensitive refinement precision section
 #   dune build @cost-smoke    # static cost-model quality section
@@ -37,7 +37,7 @@ step() {
 step build dune build
 step tests dune runtest
 step lint dune build @lint
-step bench env HARNESS_JOBS=1 dune exec bench/main.exe -- table1 trace account
+step bench env HARNESS_JOBS=1 dune exec bench/main.exe -- table1 account
 step deps env HARNESS_JOBS=1 dune exec bench/main.exe -- deps
 step absint env HARNESS_JOBS=1 dune exec bench/main.exe -- absint
 step cost env HARNESS_JOBS=1 dune exec bench/main.exe -- cost
