@@ -379,7 +379,7 @@ let run_account () =
     List.filter (fun a -> not (Harness.Job.conserved a)) accounts
   in
   let path = out_path "account.json" in
-  Harness.Json.to_file path (Harness.Job.accounts_to_json accounts);
+  Harness.Json.to_file path (Report.Breakdown.to_json rows);
   Printf.printf "wrote %s (%d breakdown records)\n" path
     (List.length accounts);
   if bad <> [] then begin

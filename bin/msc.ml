@@ -21,39 +21,108 @@
                  oracles)
      table1      regenerate the paper's Table 1
      figure5     regenerate the paper's Figure 5
-     bench-time  wall-clock table1/figure5 into BENCH_figure5.json *)
+     bench-time  wall-clock table1/figure5 into BENCH_figure5.json
+     daemon      run the mscd simulation service
+     client      send one request to a running mscd
+
+   Every report is a query on one grid: workloads x heuristic levels x
+   machines.  The options that spell the query mean the same on every
+   subcommand that takes them:
+     --only W,..    workloads (default: the whole suite); -w W names one
+     -l LEVEL       one heuristic level, bb/cf/dd/ts/fb or its long name
+                    (default: the subcommand's level list)
+     -p N           processing units; --in-order for in-order PUs
+     -j N           worker domains (default: HARNESS_JOBS or the core count)
+     --json FILE    also write the structured results to FILE
+   A bad value (unknown workload, level or profile, a count below 1, a
+   malformed HARNESS_JOBS) is reported as a command-line error that names
+   it, with a non-zero exit status; an unwritable --json path exits 1. *)
 
 open Cmdliner
 
-let level_conv =
+(* --- the grid query ------------------------------------------------------- *)
+
+let pos_int =
   let parse s =
-    match s with
-    | "bb" | "basic-block" -> Ok Core.Heuristics.Basic_block
-    | "cf" | "control-flow" -> Ok Core.Heuristics.Control_flow
-    | "dd" | "data-dependence" -> Ok Core.Heuristics.Data_dependence
-    | "ts" | "task-size" -> Ok Core.Heuristics.Task_size
-    | "fb" | "feedback" -> Ok Core.Heuristics.Feedback
-    | _ -> Error (`Msg (Printf.sprintf "unknown heuristic level %S" s))
+    match int_of_string_opt (String.trim s) with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)
   in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let workload_conv =
+  let parse s =
+    match Workloads.Suite.find s with
+    | e -> Ok e
+    | exception Not_found ->
+      Error
+        (Printf.sprintf "unknown workload %S (expected one of %s)" s
+           (String.concat ", " (Workloads.Suite.names ())))
+  in
+  let print ppf e = Format.pp_print_string ppf e.Workloads.Registry.name in
+  Arg.conv' (parse, print)
+
+let level_conv =
   let print ppf l = Format.pp_print_string ppf (Core.Heuristics.level_name l) in
-  Arg.conv (parse, print)
+  Arg.conv' (Core.Heuristics.level_of_string, print)
 
 let workload_arg =
   let doc = "Workload name (see $(b,msc list))." in
-  Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
+  Arg.(required & opt (some workload_conv) None & info [ "w"; "workload" ] ~doc)
 
+let only_arg =
+  let doc = "Comma-separated subset of workloads." in
+  Arg.(value & opt (list workload_conv) Workloads.Suite.all
+       & info [ "only" ] ~absent:"all" ~doc)
+
+let some_level doc =
+  Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
+
+(* The single-pipeline subcommands simulate one level, dd by default. *)
 let level_arg =
-  let doc = "Task-selection heuristic: bb, cf, dd, ts or fb." in
-  Arg.(value & opt level_conv Core.Heuristics.Data_dependence
-       & info [ "l"; "level" ] ~doc)
+  Term.(const (Option.value ~default:Core.Heuristics.Data_dependence)
+        $ some_level "Task-selection heuristic: bb, cf, dd, ts or fb \
+                      (default: dd).")
+
+(* The grid subcommands sweep [default] unless -l picks one level. *)
+let levels_arg default =
+  let doc =
+    Printf.sprintf "Restrict to one heuristic level (default: %s)."
+      (String.concat ", " (List.map Core.Heuristics.level_tag default))
+  in
+  Term.(const (Option.fold ~none:default ~some:(fun l -> [ l ]))
+        $ some_level doc)
 
 let pus_arg =
   let doc = "Number of processing units." in
-  Arg.(value & opt int 8 & info [ "p"; "pus" ] ~doc)
+  Arg.(value & opt pos_int 8 & info [ "p"; "pus" ] ~doc)
 
 let in_order_arg =
   let doc = "Use in-order PUs (default: out-of-order)." in
   Arg.(value & flag & info [ "in-order" ] ~doc)
+
+(* The HARNESS_JOBS default is resolved here, so a malformed value is a
+   command-line error rather than an exception from the first fan-out. *)
+let jobs_arg =
+  let doc =
+    "Worker domains for experiment batches (default: HARNESS_JOBS or the \
+     host's core count; 1 = serial)."
+  in
+  let resolve = function
+    | Some j -> Ok j
+    | None -> (
+      try Ok (Harness.Pool.default_jobs ()) with Failure msg -> Error msg)
+  in
+  Term.(term_result'
+          (const resolve
+           $ Arg.(value & opt (some pos_int) None & info [ "j"; "jobs" ] ~doc)))
+
+let json_arg =
+  let doc =
+    "Also write the structured results as JSON to $(docv) (the shape of the \
+     matching $(b,bench/*.json) file)."
+  in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let optimize_arg =
   let doc = "Run the classical optimisation pipeline first." in
@@ -67,26 +136,6 @@ let schedule_arg =
   let doc = "Run register-communication scheduling." in
   Arg.(value & flag & info [ "schedule" ] ~doc)
 
-let suite_of = function
-  | None -> Workloads.Suite.all
-  | Some names ->
-    List.map Workloads.Suite.find (String.split_on_char ',' names)
-
-let workloads_filter =
-  let doc = "Comma-separated subset of workloads (default: all)." in
-  Arg.(value & opt (some string) None & info [ "only" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for experiment batches (default: HARNESS_JOBS or the \
-     host's core count; 1 = serial)."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
-
-let json_arg =
-  let doc = "Also export the structured job results as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
 (* One artifact store per CLI invocation: every subcommand resolves its
    plans, traces and default-machine simulations through the engine. *)
 let store = Harness.Artifact.create ()
@@ -99,12 +148,21 @@ let write_json path json =
     Printf.eprintf "msc: cannot write %s\n" msg;
     exit 1
 
-let export_json = function
-  | None -> ()
-  | Some path ->
-    let results = Harness.Job.results_of_store store in
-    write_json path (Harness.Job.to_json results);
-    Printf.printf "wrote %s (%d job results)\n" path (List.length results)
+(* --json: write [json ()] to the path, if one was given, and say so,
+   naming the [records] count when there is one. *)
+let export ?records path json =
+  Option.iter
+    (fun path ->
+      write_json path (json ());
+      match records with
+      | None -> Printf.printf "wrote %s\n" path
+      | Some (n, what) -> Printf.printf "wrote %s (%d %s)\n" path n what)
+    path
+
+let export_results path =
+  let results = Harness.Job.results_of_store store in
+  export path ~records:(List.length results, "job results") (fun () ->
+      Harness.Job.to_json results)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -122,21 +180,16 @@ let list_cmd =
 
 (* --- run / breakdown ----------------------------------------------------- *)
 
-let simulate ?(optimize = false) ?(if_convert = false) ?(schedule = false)
-    name level pus in_order =
-  let entry = Workloads.Suite.find name in
-  let art =
-    Harness.Artifact.get store
-      ~variant:{ Harness.Artifact.optimize; if_convert; schedule }
-      ~level entry
-  in
-  (entry, Harness.Artifact.sim store art ~num_pus:pus ~in_order)
-
 let run_cmd =
-  let run name level pus in_order optimize if_convert schedule =
-    let _, s = simulate ~optimize ~if_convert ~schedule name level pus in_order in
+  let run entry level pus in_order optimize if_convert schedule =
+    let art =
+      Harness.Artifact.get store
+        ~variant:{ Harness.Artifact.optimize; if_convert; schedule }
+        ~level entry
+    in
+    let s = Harness.Artifact.sim store art ~num_pus:pus ~in_order in
     Printf.printf "%s %s %dPU %s: IPC %.3f (%d insns / %d cycles), %d tasks\n"
-      name
+      entry.Workloads.Registry.name
       (Core.Heuristics.level_name level)
       pus
       (if in_order then "in-order" else "out-of-order")
@@ -154,13 +207,10 @@ let run_cmd =
           $ optimize_arg $ if_convert_arg $ schedule_arg)
 
 let breakdown_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
   let pus_list_arg =
     let doc = "Comma-separated PU counts of the grid." in
-    Arg.(value & opt string "1,2,4,8" & info [ "p"; "pus" ] ~docv:"PUS" ~doc)
+    Arg.(value & opt (list pos_int) Report.Breakdown.default_pus
+         & info [ "p"; "pus" ] ~docv:"PUS" ~doc)
   in
   let stats_arg =
     let doc =
@@ -169,28 +219,10 @@ let breakdown_cmd =
     in
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
-  let bd_json_arg =
-    let doc = "Export the breakdown records as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level jobs pus_s in_order stats json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
+  let run entries levels jobs pus in_order stats json =
+    let rows =
+      Report.Breakdown.run ~store ~jobs ~levels ~pus ~in_order entries
     in
-    let pus =
-      List.map
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some p when p > 0 -> p
-          | Some _ | None ->
-            Printf.eprintf "msc: bad PU count %S\n" s;
-            exit 1)
-        (String.split_on_char ',' pus_s)
-    in
-    let rows = Report.Breakdown.run ~store ?jobs ~levels ~pus ~in_order entries in
     Format.printf "%a@." Report.Breakdown.pp rows;
     Format.printf "%a@." Report.Breakdown.pp_aggregate rows;
     if stats then
@@ -203,27 +235,21 @@ let breakdown_cmd =
              else "out-of-order")
             Sim.Stats.pp r.Report.Experiment.stats)
         rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      let accounts = Report.Breakdown.accounts rows in
-      write_json path (Harness.Job.accounts_to_json accounts);
-      Printf.printf "wrote %s (%d breakdown records)\n" path
-        (List.length accounts)
+    export json ~records:(List.length rows, "breakdown records") (fun () ->
+        Report.Breakdown.to_json rows)
   in
   Cmd.v
     (Cmd.info "breakdown"
        ~doc:
          "Attribute every PU-cycle of the workload grid to the paper's \
           performance issues")
-    Term.(const run $ workloads_filter $ level_opt_arg $ jobs_arg
-          $ pus_list_arg $ in_order_arg $ stats_arg $ bd_json_arg)
+    Term.(const run $ only_arg $ levels_arg Core.Heuristics.all_levels
+          $ jobs_arg $ pus_list_arg $ in_order_arg $ stats_arg $ json_arg)
 
 (* --- dump ---------------------------------------------------------------- *)
 
 let dump_cmd =
-  let run name level =
-    let entry = Workloads.Suite.find name in
+  let run entry level =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     Format.printf "%a@." Ir.Prog.pp plan.Core.Partition.prog;
@@ -269,8 +295,7 @@ let run_file_cmd =
     Term.(const run $ path_arg $ level_arg $ pus_arg $ in_order_arg)
 
 let export_cmd =
-  let run name =
-    let entry = Workloads.Suite.find name in
+  let run entry =
     print_string (Ir.Pp.program_text (entry.Workloads.Registry.build ()))
   in
   Cmd.v
@@ -283,8 +308,7 @@ let dot_cmd =
     let doc = "Function to draw (default: main)." in
     Arg.(value & opt string "main" & info [ "f"; "function" ] ~doc)
   in
-  let run name level fname =
-    let entry = Workloads.Suite.find name in
+  let run entry level fname =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     let f = Ir.Prog.find plan.Core.Partition.prog fname in
@@ -309,14 +333,13 @@ let dot_cmd =
 let superscalar_cmd =
   let width_arg =
     let doc = "Issue width of the superscalar machine." in
-    Arg.(value & opt int 4 & info [ "width" ] ~doc)
+    Arg.(value & opt pos_int 4 & info [ "width" ] ~doc)
   in
   let rob_arg =
     let doc = "Reorder-buffer size." in
-    Arg.(value & opt int 64 & info [ "rob" ] ~doc)
+    Arg.(value & opt pos_int 64 & info [ "rob" ] ~doc)
   in
-  let run name width rob =
-    let entry = Workloads.Suite.find name in
+  let run entry width rob =
     let prog = entry.Workloads.Registry.build () in
     let outcome = Interp.Run.execute prog in
     let cfg =
@@ -335,7 +358,7 @@ let superscalar_cmd =
     Printf.printf
       "%s superscalar %d-wide/ROB %d: IPC %.3f, avg window %.1f, branch        mispredict %.2f%%
 "
-      name width rob
+      entry.Workloads.Registry.name width rob
       (Sim.Stats.ipc r.Sim.Superscalar.stats)
       r.Sim.Superscalar.avg_window
       (Sim.Stats.branch_mispredict_rate r.Sim.Superscalar.stats)
@@ -354,8 +377,7 @@ let timeline_cmd =
     let doc = "Skip this many dynamic tasks first (past the warm-up)." in
     Arg.(value & opt int 200 & info [ "skip" ] ~doc)
   in
-  let run name level pus in_order n skip =
-    let entry = Workloads.Suite.find name in
+  let run entry level pus in_order n skip =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     let cfg = Sim.Config.default ~num_pus:pus ~in_order in
@@ -401,18 +423,6 @@ let timeline_cmd =
 (* --- lint ----------------------------------------------------------------- *)
 
 let lint_cmd =
-  let level_opt_arg =
-    let doc = "Lint only this heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let lint_json_arg =
-    let doc =
-      "Export the structured lint report as JSON to $(docv) (same shape as \
-       bench/lint.json: per-plan diagnostics plus a rule_counts summary \
-       covering every registered rule)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let rule_arg =
     let doc =
       "Keep only diagnostics whose rule id matches this anchored glob \
@@ -421,14 +431,8 @@ let lint_cmd =
     in
     Arg.(value & opt (some string) None & info [ "rule" ] ~docv:"GLOB" ~doc)
   in
-  let run only level rule jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let reports = Lint.check_suite ?jobs ~levels ~store entries in
+  let run entries levels rule jobs json =
+    let reports = Lint.check_suite ~jobs ~levels ~store entries in
     let reports =
       match rule with None -> reports | Some pat -> Lint.filter_rule pat reports
     in
@@ -444,11 +448,7 @@ let lint_cmd =
             (Core.Heuristics.level_name r.Lint.level)
             e w i)
       reports;
-    (match json with
-    | None -> ()
-    | Some path ->
-      write_json path (Lint.report_to_json reports);
-      Printf.printf "wrote %s\n" path);
+    export json (fun () -> Lint.report_to_json reports);
     let errors = Lint.total_errors reports in
     Printf.printf "lint: %d plans checked, %d errors\n" (List.length reports)
       errors;
@@ -459,40 +459,19 @@ let lint_cmd =
        ~doc:
          "Statically verify IR, partitions, register communication and \
           cross-task dependences (filter rule families with $(b,--rule))")
-    Term.(const run $ workloads_filter $ level_opt_arg $ rule_arg $ jobs_arg
-          $ lint_json_arg)
+    Term.(const run $ only_arg $ levels_arg Core.Heuristics.all_levels
+          $ rule_arg $ jobs_arg $ json_arg)
 
 (* --- deps ------------------------------------------------------------------ *)
 
 let deps_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let deps_json_arg =
-    let doc =
-      "Export the dependence summaries and per-level correlations as JSON \
-       to $(docv) (same shape as bench/deps.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level pus in_order jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
+  let run entries levels pus in_order jobs json =
     let rows =
-      Report.Deps.run ~store ?jobs ~levels ~num_pus:pus ~in_order entries
+      Report.Deps.run ~store ~jobs ~levels ~num_pus:pus ~in_order entries
     in
     Format.printf "%a@." Report.Deps.pp rows;
-    (match json with
-    | None -> ()
-    | Some path ->
-      write_json path (Report.Deps.to_json rows);
-      Printf.printf "wrote %s (%d dependence summaries)\n" path
-        (List.length rows));
+    export json ~records:(List.length rows, "dependence summaries") (fun () ->
+        Report.Deps.to_json rows);
     let violations = Report.Deps.violations rows in
     if violations > 0 then begin
       Printf.printf
@@ -506,37 +485,17 @@ let deps_cmd =
          "Static cross-task dependence edges (Core.Depend) grounded against \
           the observed trace flows, with per-level correlation against the \
           data_wait/mem_squash cycle shares")
-    Term.(const run $ workloads_filter $ level_opt_arg $ pus_arg
-          $ in_order_arg $ jobs_arg $ deps_json_arg)
+    Term.(const run $ only_arg $ levels_arg Core.Heuristics.all_levels
+          $ pus_arg $ in_order_arg $ jobs_arg $ json_arg)
 
 (* --- absint ---------------------------------------------------------------- *)
 
 let absint_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let absint_json_arg =
-    let doc =
-      "Export the precision rows and suite totals as JSON to $(docv) (same \
-       shape as bench/absint.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let rows = Report.Precision.run ~store ?jobs ~levels entries in
+  let run entries levels jobs json =
+    let rows = Report.Precision.run ~store ~jobs ~levels entries in
     Format.printf "%a@." Report.Precision.pp rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      write_json path (Report.Precision.to_json rows);
-      Printf.printf "wrote %s (%d precision rows)\n" path (List.length rows)
+    export json ~records:(List.length rows, "precision rows") (fun () ->
+        Report.Precision.to_json rows)
   in
   Cmd.v
     (Cmd.info "absint"
@@ -545,39 +504,19 @@ let absint_cmd =
           memory edges pruned against the flow-insensitive baseline, \
           unbounded-region sites and the widest refined regions per \
           workload and level")
-    Term.(const run $ workloads_filter $ level_opt_arg $ jobs_arg
-          $ absint_json_arg)
+    Term.(const run $ only_arg $ levels_arg Core.Heuristics.all_levels
+          $ jobs_arg $ json_arg)
 
 (* --- cost ------------------------------------------------------------------ *)
 
 let cost_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four + fb)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let cost_json_arg =
-    let doc =
-      "Export the cost rows, per-level correlations and per-level geomean \
-       IPC as JSON to $(docv) (same shape as bench/cost.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level pus in_order jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.extended_levels
-      | Some l -> [ l ]
-    in
+  let run entries levels pus in_order jobs json =
     let rows =
-      Report.Cost.run ~store ?jobs ~levels ~num_pus:pus ~in_order entries
+      Report.Cost.run ~store ~jobs ~levels ~num_pus:pus ~in_order entries
     in
     Format.printf "%a@." Report.Cost.pp rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      write_json path (Report.Cost.to_json rows);
-      Printf.printf "wrote %s (%d cost rows)\n" path (List.length rows)
+    export json ~records:(List.length rows, "cost rows") (fun () ->
+        Report.Cost.to_json rows)
   in
   Cmd.v
     (Cmd.info "cost"
@@ -586,8 +525,8 @@ let cost_cmd =
           static model) joined against the measured Sim.Account shares, \
           with per-level predicted-vs-measured correlations and geomean \
           IPC")
-    Term.(const run $ workloads_filter $ level_opt_arg $ pus_arg
-          $ in_order_arg $ jobs_arg $ cost_json_arg)
+    Term.(const run $ only_arg $ levels_arg Core.Heuristics.extended_levels
+          $ pus_arg $ in_order_arg $ jobs_arg $ json_arg)
 
 (* --- trace-stats ----------------------------------------------------------- *)
 
@@ -596,10 +535,9 @@ let trace_stats_cmd =
     let doc = "Task prediction accuracy for the window-span series." in
     Arg.(value & opt float 1.0 & info [ "pred" ] ~doc)
   in
-  let run only level jobs pus pred =
-    let entries = suite_of only in
+  let run entries level jobs pus pred =
     let per_workload =
-      Harness.Pool.map ?jobs
+      Harness.Pool.map ~jobs
         (fun (e : Workloads.Registry.entry) ->
           let art = Harness.Artifact.get store ~level e in
           let trace = art.Harness.Artifact.trace in
@@ -642,8 +580,7 @@ let trace_stats_cmd =
   Cmd.v
     (Cmd.info "trace-stats"
        ~doc:"Memory statistics of the packed dynamic traces")
-    Term.(const run $ workloads_filter $ level_arg $ jobs_arg $ pus_arg
-          $ pred_arg)
+    Term.(const run $ only_arg $ level_arg $ jobs_arg $ pus_arg $ pred_arg)
 
 (* --- fuzz ----------------------------------------------------------------- *)
 
@@ -656,16 +593,27 @@ let fuzz_cmd =
     let doc = "Number of programs (spread round-robin over the profiles)." in
     Arg.(value & opt int 200 & info [ "n" ] ~docv:"N" ~doc)
   in
-  let profile_arg =
-    let doc =
-      "Comma-separated subset of corpus profiles (default: the whole \
-       Workloads.Synth family)."
+  let profile_conv =
+    let parse s =
+      match Workloads.Synth.Profile.find (String.trim s) with
+      | Some p -> Ok p
+      | None ->
+        Error
+          (Printf.sprintf "unknown fuzz profile %S (expected one of %s)" s
+             (String.concat ", "
+                (List.map
+                   (fun p -> p.Workloads.Synth.Profile.name)
+                   Workloads.Synth.Profile.all)))
     in
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"NAMES" ~doc)
+    let print ppf p =
+      Format.pp_print_string ppf p.Workloads.Synth.Profile.name
+    in
+    Arg.conv' (parse, print)
   in
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four + fb)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
+  let profile_arg =
+    let doc = "Comma-separated subset of corpus profiles." in
+    Arg.(value & opt (list profile_conv) Workloads.Synth.Profile.all
+         & info [ "profile" ] ~absent:"all" ~docv:"NAMES" ~doc)
   in
   let ref_sample_arg =
     let doc =
@@ -679,13 +627,6 @@ let fuzz_cmd =
     Arg.(value & opt string "fuzz-reproducers"
          & info [ "o"; "out" ] ~docv:"DIR" ~doc)
   in
-  let fuzz_json_arg =
-    let doc =
-      "Export the per-profile fuzz records as JSON to $(docv) (the \
-       results.json object shape, with a \"fuzz\" section)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let inject_arg =
     let doc =
       "Debug: inject a known divide-by-zero fault into every program — the \
@@ -694,25 +635,7 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "inject-fault" ] ~doc)
   in
-  let run seed n profile level ref_sample jobs out json inject =
-    let profiles =
-      match profile with
-      | None -> Workloads.Synth.Profile.all
-      | Some names ->
-        List.map
-          (fun name ->
-            match Workloads.Synth.Profile.find (String.trim name) with
-            | Some p -> p
-            | None ->
-              Printf.eprintf "msc: unknown fuzz profile %S\n" name;
-              exit 2)
-          (String.split_on_char ',' names)
-    in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.extended_levels
-      | Some l -> [ l ]
-    in
+  let run seed n profiles levels ref_sample jobs out json inject =
     let cfg =
       { Fuzz.default_config with Fuzz.seed; n; profiles; levels; ref_sample }
     in
@@ -720,7 +643,7 @@ let fuzz_cmd =
     let progress ~done_ ~total =
       Printf.eprintf "\rfuzz: %d/%d programs%!" done_ total
     in
-    let o = Fuzz.run ?jobs ~progress cfg in
+    let o = Fuzz.run ~jobs ~progress cfg in
     Printf.eprintf "\r%!";
     Printf.printf "%-13s %5s %5s %5s %6s %5s %6s %5s %5s %5s %5s %7s\n"
       "profile" "progs" "lint" "rt" "trace" "dep" "absint" "acct" "cost" "fb"
@@ -742,12 +665,8 @@ let fuzz_cmd =
        violations, %.1fs\n"
       o.Fuzz.o_programs (List.length levels) seed o.Fuzz.o_checks
       (List.length o.Fuzz.o_violations) o.Fuzz.o_wall_seconds;
-    (match json with
-    | None -> ()
-    | Some path ->
-      write_json path (Harness.Job.to_json ~fuzz:o.Fuzz.o_records []);
-      Printf.printf "wrote %s (%d fuzz records)\n" path
-        (List.length o.Fuzz.o_records));
+    export json ~records:(List.length o.Fuzz.o_records, "fuzz records")
+      (fun () -> Harness.Job.to_json ~fuzz:o.Fuzz.o_records []);
     match o.Fuzz.o_violations with
     | [] -> Fuzz.fault_hook := None
     | v :: _ ->
@@ -795,28 +714,29 @@ let fuzz_cmd =
           bound and the frozen sim_ref cycle differential as oracles; \
           violations are shrunk to a dumped reproducer and the exit status \
           is non-zero")
-    Term.(const run $ seed_arg $ n_arg $ profile_arg $ level_opt_arg
-          $ ref_sample_arg $ jobs_arg $ out_arg $ fuzz_json_arg $ inject_arg)
+    Term.(const run $ seed_arg $ n_arg $ profile_arg
+          $ levels_arg Core.Heuristics.extended_levels $ ref_sample_arg
+          $ jobs_arg $ out_arg $ json_arg $ inject_arg)
 
 (* --- table1 / figure5 ---------------------------------------------------- *)
 
 let table1_cmd =
-  let run only jobs json =
-    let rows = Report.Table1.run ~store ?jobs (suite_of only) in
+  let run entries jobs json =
+    let rows = Report.Table1.run ~store ~jobs entries in
     Format.printf "%a@." Report.Table1.pp rows;
-    export_json json
+    export_results json
   in
   Cmd.v (Cmd.info "table1" ~doc:"Regenerate the paper's Table 1")
-    Term.(const run $ workloads_filter $ jobs_arg $ json_arg)
+    Term.(const run $ only_arg $ jobs_arg $ json_arg)
 
 let figure5_cmd =
-  let run only jobs json =
-    let rows = Report.Figure5.run ~store ?jobs (suite_of only) in
+  let run entries jobs json =
+    let rows = Report.Figure5.run ~store ~jobs entries in
     Format.printf "%a@." Report.Figure5.pp rows;
-    export_json json
+    export_results json
   in
   Cmd.v (Cmd.info "figure5" ~doc:"Regenerate the paper's Figure 5")
-    Term.(const run $ workloads_filter $ jobs_arg $ json_arg)
+    Term.(const run $ only_arg $ jobs_arg $ json_arg)
 
 (* --- bench-time ----------------------------------------------------------- *)
 
@@ -849,26 +769,25 @@ let bench_time_cmd =
       | _ -> "unknown"
     with Sys_error _ | Unix.Unix_error _ -> "unknown"
   in
-  let run only jobs out =
-    let suite = suite_of only in
+  let run suite jobs out =
     let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
     let table1_s =
       time_section (fun () ->
           let store = Harness.Artifact.create () in
           Format.fprintf null "%a@."
-            Report.Table1.pp (Report.Table1.run ~store ?jobs suite))
+            Report.Table1.pp (Report.Table1.run ~store ~jobs suite))
     in
     let figure5_s =
       time_section (fun () ->
           let store = Harness.Artifact.create () in
           Format.fprintf null "%a@."
-            Report.Figure5.pp (Report.Figure5.run ~store ?jobs suite))
+            Report.Figure5.pp (Report.Figure5.run ~store ~jobs suite))
     in
     let cost_s =
       time_section (fun () ->
           let store = Harness.Artifact.create () in
           Format.fprintf null "%a@."
-            Report.Cost.pp (Report.Cost.run ~store ?jobs suite))
+            Report.Cost.pp (Report.Cost.run ~store ~jobs suite))
     in
     (* a fixed slice of the synthetic fuzz corpus (4 programs per profile
        through the full oracle stack), so the wall cost of the
@@ -876,7 +795,7 @@ let bench_time_cmd =
     let fuzz_n = 44 in
     let fuzz_s =
       time_section (fun () ->
-          ignore (Fuzz.run ?jobs { Fuzz.default_config with Fuzz.n = fuzz_n }))
+          ignore (Fuzz.run ~jobs { Fuzz.default_config with Fuzz.n = fuzz_n }))
     in
     (* the same figure5 report at full recommended width, so the file
        records the parallel-vs-serial story of the scheduler on this
@@ -896,11 +815,7 @@ let bench_time_cmd =
       Harness.Json.Obj
         [
           ("commit", Harness.Json.String (git_commit ()));
-          ( "jobs",
-            Harness.Json.Int
-              (match jobs with
-              | Some j -> j
-              | None -> Harness.Pool.default_jobs ()) );
+          ("jobs", Harness.Json.Int jobs);
           ("workloads", Harness.Json.Int (List.length suite));
           ( "sections",
             Harness.Json.List
@@ -953,7 +868,7 @@ let bench_time_cmd =
          "Wall-clock the table1, figure5 and cost reports plus a fixed \
           fuzz-corpus slice and record the timings (with the speedup over \
           the growth-seed core) as JSON")
-    Term.(const run $ workloads_filter $ jobs_arg $ out_arg)
+    Term.(const run $ only_arg $ jobs_arg $ out_arg)
 
 (* --- daemon / client ------------------------------------------------------ *)
 
@@ -965,7 +880,7 @@ let socket_arg =
 let daemon_cmd =
   let run socket jobs =
     let srv =
-      try Service.Server.create ?jobs ~socket ()
+      try Service.Server.create ~jobs ~socket ()
       with Unix.Unix_error (e, _, _) ->
         Printf.eprintf "mscd: cannot listen on %s: %s\n" socket
           (Unix.error_message e);
@@ -1000,21 +915,11 @@ let client_cmd =
   in
   let workload_arg =
     let doc = "Workload name (required by per-workload operations)." in
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some workload_conv) None
          & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
   in
-  let level_tag_arg =
-    let doc = "Heuristic level tag: bb, cf, dd, ts or fb." in
-    Arg.(value & opt (some string) None
-         & info [ "l"; "level" ] ~docv:"LEVEL" ~doc)
-  in
-  let pus_arg =
-    let doc = "Number of processing units." in
-    Arg.(value & opt int 8 & info [ "p"; "pus" ] ~docv:"N" ~doc)
-  in
-  let in_order_arg =
-    let doc = "In-order processing units." in
-    Arg.(value & flag & info [ "in-order" ] ~doc)
+  let level_arg =
+    some_level "Heuristic level (required by per-workload operations)."
   in
   let seed_opt_arg =
     let doc = "Corpus seed (fuzz operation)." in
@@ -1033,10 +938,12 @@ let client_cmd =
     let fields =
       [ ("op", Harness.Json.String op) ]
       @ (match workload with
-        | Some w -> [ ("workload", Harness.Json.String w) ]
+        | Some e ->
+          [ ("workload", Harness.Json.String e.Workloads.Registry.name) ]
         | None -> [])
       @ (match level with
-        | Some l -> [ ("level", Harness.Json.String l) ]
+        | Some l ->
+          [ ("level", Harness.Json.String (Core.Heuristics.level_tag l)) ]
         | None -> [])
       @ (match seed with
         | Some s -> [ ("seed", Harness.Json.Int s) ]
@@ -1078,7 +985,7 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Send one request to a running mscd service and print the response")
-    Term.(const run $ socket_arg $ op_arg $ workload_arg $ level_tag_arg
+    Term.(const run $ socket_arg $ op_arg $ workload_arg $ level_arg
           $ pus_arg $ in_order_arg $ seed_opt_arg $ n_opt_arg
           $ profile_opt_arg)
 

@@ -40,13 +40,15 @@ let phase_report (s : Sim.Stats.t) =
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "compress" in
   let entry = Workloads.Suite.find name in
+  let store = Harness.Artifact.create () in
   Printf.printf "workload: %s (%s)\n\n" name
     entry.Workloads.Registry.description;
   List.iter
     (fun level ->
       Printf.printf "%s tasks:\n" (Core.Heuristics.level_name level);
       let r =
-        Report.Experiment.run_one ~level ~num_pus:8 ~in_order:false entry
+        Report.Experiment.run_one ~store ~level ~num_pus:8 ~in_order:false
+          entry
       in
       phase_report r.Report.Experiment.stats;
       print_newline ())

@@ -15,6 +15,25 @@ let level_name = function
   | Task_size -> "task-size"
   | Feedback -> "feedback"
 
+let level_tag = function
+  | Basic_block -> "bb"
+  | Control_flow -> "cf"
+  | Data_dependence -> "dd"
+  | Task_size -> "ts"
+  | Feedback -> "fb"
+
+let level_of_string s =
+  match
+    List.find_opt
+      (fun l -> String.equal s (level_tag l) || String.equal s (level_name l))
+      extended_levels
+  with
+  | Some l -> Ok l
+  | None ->
+    Error
+      (Printf.sprintf "unknown heuristic level %S (expected one of %s)" s
+         (String.concat ", " (List.map level_tag extended_levels)))
+
 type params = {
   max_targets : int;
   loop_thresh : int;

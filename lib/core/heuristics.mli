@@ -30,6 +30,15 @@ val extended_levels : level list
 (** {!all_levels} plus [Feedback] — the grid for cost-model reports. *)
 
 val level_name : level -> string
+(** Long name ([basic-block], ..., [feedback]) for human-readable output. *)
+
+val level_tag : level -> string
+(** Stable short tag ([bb]/[cf]/[dd]/[ts]/[fb]) — the encoding of every
+    report column, JSON export and the service protocol. *)
+
+val level_of_string : string -> (level, string) result
+(** Inverse of {!level_tag} and {!level_name}: accepts either spelling;
+    [Error] names the unknown string and lists the valid tags. *)
 
 type params = {
   max_targets : int;   (** N successors trackable by hardware (paper: 4) *)

@@ -211,7 +211,7 @@ let check_value config ~profile ~index ~seed prog =
     let scalar_fb = ref None in
     List.iter
       (fun level ->
-        let ltag = Harness.Job.level_tag level in
+        let ltag = Core.Heuristics.level_tag level in
         match
           try Ok (Core.Cost.plan_for_level level prog)
           with e -> Error (Printexc.to_string e)

@@ -157,30 +157,18 @@ let peek cell =
   Mutex.unlock cell.cmu;
   st
 
-let traces t =
+let trace_bytes t =
   Mutex.lock t.mu;
-  let landed =
+  let bytes =
     Hashtbl.fold
-      (fun key cell acc ->
+      (fun _ cell acc ->
         match peek cell with
-        | Landed art -> (key, art.trace) :: acc
+        | Landed art -> acc + Interp.Trace.bytes art.trace
         | In_flight | Crashed _ -> acc)
-      t.pipeline []
+      t.pipeline 0
   in
   Mutex.unlock t.mu;
-  List.sort
-    (fun ((ka : key), _) ((kb : key), _) ->
-      compare
-        (ka.workload, level_index ka.level, ka.params, ka.profile_alt,
-         ka.variant)
-        (kb.workload, level_index kb.level, kb.params, kb.profile_alt,
-         kb.variant))
-    landed
-
-let trace_bytes t =
-  List.fold_left
-    (fun acc (_, trace) -> acc + Interp.Trace.bytes trace)
-    0 (traces t)
+  bytes
 
 let sim_results t =
   Mutex.lock t.mu;

@@ -21,9 +21,8 @@
     [(key, num_pus, in_order)]); these recorded results are what
     {!Job.results_of_store} exports as the machine-readable perf
     trajectory.  Each record carries its {!Sim.Account.t} cycle-attribution
-    breakdown, so breakdown reports ({!Job.accounts_of_store},
-    [msc breakdown], [bench/account.json]) are memoized alongside the
-    traces for free. *)
+    breakdown, so breakdown reports ([msc breakdown], [bench/account.json])
+    are memoized alongside the traces for free. *)
 
 type variant = {
   optimize : bool;    (** classical optimiser pipeline first *)
@@ -87,11 +86,7 @@ val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 (** Every simulation recorded by {!sim}, sorted deterministically
     (workload, level, params, profile, variant, PUs, issue discipline). *)
 
-val traces : t -> (key * Interp.Trace.t) list
-(** Every packed trace resident in the pipeline cache, sorted like
-    {!sim_results} (without the machine axes). *)
-
 val trace_bytes : t -> int
 (** Total resident bytes of all cached packed traces
-    ({!Interp.Trace.bytes} summed over {!traces}) — the store's dominant
-    memory term. *)
+    ({!Interp.Trace.bytes} summed over every landed pipeline) — the store's
+    dominant memory term. *)

@@ -83,23 +83,6 @@ type account = {
 let account_of_stats spec ~kind (s : Sim.Stats.t) =
   { a_spec = spec; a_kind = kind; a_acct = s.Sim.Stats.acct }
 
-let accounts_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), (num_pus, in_order), stats) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        let spec =
-          { workload = key.Artifact.workload; level = key.Artifact.level;
-            num_pus; in_order }
-        in
-        let kind = (Workloads.Suite.find spec.workload).Workloads.Registry.kind in
-        Some (account_of_stats spec ~kind stats)
-      else None)
-    (Artifact.sim_results store)
-
 let conserved a =
   match Sim.Account.check a.a_acct with Ok () -> true | Error _ -> false
 
@@ -226,19 +209,6 @@ let dep_of_artifact (art : Artifact.artifact) =
 
 let dep_violations d = d.d_observed - d.d_predicted_hit
 
-let deps_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), _trace) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        let entry = Workloads.Suite.find key.Artifact.workload in
-        Some (dep_of_artifact (Artifact.get store ~level:key.Artifact.level entry))
-      else None)
-    (Artifact.traces store)
-
 (* --- static cost predictions ----------------------------------------------- *)
 
 type cost = {
@@ -270,27 +240,12 @@ let cost_of_artifact (art : Artifact.artifact) =
 
 (* --- JSON ----------------------------------------------------------------- *)
 
-let level_tag = function
-  | Core.Heuristics.Basic_block -> "bb"
-  | Core.Heuristics.Control_flow -> "cf"
-  | Core.Heuristics.Data_dependence -> "dd"
-  | Core.Heuristics.Task_size -> "ts"
-  | Core.Heuristics.Feedback -> "fb"
-
-let level_of_tag = function
-  | "bb" -> Ok Core.Heuristics.Basic_block
-  | "cf" -> Ok Core.Heuristics.Control_flow
-  | "dd" -> Ok Core.Heuristics.Data_dependence
-  | "ts" -> Ok Core.Heuristics.Task_size
-  | "fb" -> Ok Core.Heuristics.Feedback
-  | s -> Error (Printf.sprintf "unknown level tag %S" s)
-
 let result_to_json r =
   Json.Obj
     [
       ("workload", Json.String r.spec.workload);
       ("kind", Json.String (Workloads.Registry.kind_name r.kind));
-      ("level", Json.String (level_tag r.spec.level));
+      ("level", Json.String (Core.Heuristics.level_tag r.spec.level));
       ("num_pus", Json.Int r.spec.num_pus);
       ("in_order", Json.Bool r.spec.in_order);
       ("ipc", Json.Float r.ipc);
@@ -311,7 +266,7 @@ let account_to_json a =
     ([
        ("workload", Json.String a.a_spec.workload);
        ("kind", Json.String (Workloads.Registry.kind_name a.a_kind));
-       ("level", Json.String (level_tag a.a_spec.level));
+       ("level", Json.String (Core.Heuristics.level_tag a.a_spec.level));
        ("num_pus", Json.Int a.a_spec.num_pus);
        ("in_order", Json.Bool a.a_spec.in_order);
        ("cycles", Json.Int acct.Sim.Account.cycles);
@@ -327,7 +282,7 @@ let dep_to_json d =
     [
       ("workload", Json.String d.d_workload);
       ("kind", Json.String (Workloads.Registry.kind_name d.d_kind));
-      ("level", Json.String (level_tag d.d_level));
+      ("level", Json.String (Core.Heuristics.level_tag d.d_level));
       ("tasks", Json.Int d.d_tasks);
       ("reg_edges", Json.Int d.d_reg_edges);
       ("mem_edges", Json.Int d.d_mem_edges);
@@ -361,7 +316,7 @@ let cost_to_json c =
     [
       ("workload", Json.String c.co_workload);
       ("kind", Json.String (Workloads.Registry.kind_name c.co_kind));
-      ("level", Json.String (level_tag c.co_level));
+      ("level", Json.String (Core.Heuristics.level_tag c.co_level));
       ("tasks", Json.Int c.co_tasks);
       ("scalar", Json.Float c.co_scalar);
       ("pred_useful", Json.Float s.Analysis.Cost.s_useful);
@@ -461,7 +416,7 @@ let result_of_json j =
     | s -> Error (Printf.sprintf "unknown kind %S" s)
   in
   let* level_s = str "level" j in
-  let* level = level_of_tag level_s in
+  let* level = Core.Heuristics.level_of_string level_s in
   let* num_pus = int "num_pus" j in
   let* in_order = boolean "in_order" j in
   let* ipc = num "ipc" j in

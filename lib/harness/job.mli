@@ -45,13 +45,6 @@ val run : ?jobs:int -> Artifact.t -> spec list -> result list
 val result_of_stats :
   spec -> kind:Workloads.Registry.kind -> Sim.Stats.t -> result
 
-val level_tag : Core.Heuristics.level -> string
-(** Stable wire tag of a heuristic level ([bb]/[cf]/[dd]/[ts]/[fb]) —
-    the encoding used by every JSON export and the service protocol. *)
-
-val level_of_tag : string -> (Core.Heuristics.level, string) Stdlib.result
-(** Inverse of {!level_tag}; [Error] names the unknown tag. *)
-
 val result_to_json : result -> Json.t
 (** One result as the object {!to_json} emits per element — the payload
     shape shared by the JSON export and the service protocol. *)
@@ -76,11 +69,6 @@ type account = {
 
 val account_of_stats :
   spec -> kind:Workloads.Registry.kind -> Sim.Stats.t -> account
-
-val accounts_of_store : Artifact.t -> account list
-(** Breakdown of every memoized default-machine simulation whose pipeline
-    used default parameters, the baseline variant and self-profiling — same
-    selection and order as {!results_of_store}. *)
 
 val conserved : account -> bool
 (** Does the record satisfy {!Sim.Account.check}? *)
@@ -142,10 +130,6 @@ val dep_of_artifact : Artifact.artifact -> dep
 val dep_violations : dep -> int
 (** [d_observed - d_predicted_hit]; non-zero means the static analysis is
     unsound on this workload (the [dep/sound] lint rule fires). *)
-
-val deps_of_store : Artifact.t -> dep list
-(** Dependence summary of every cached default-parameter pipeline, baseline
-    variant and self-profiling, in deterministic order. *)
 
 val dep_to_json : dep -> Json.t
 (** Integer-only counts (plus the derived [violations]); ratio metrics are

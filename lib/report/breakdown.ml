@@ -6,7 +6,7 @@
 
 let default_pus = [ 1; 2; 4; 8 ]
 
-let run ?params ?store ?jobs ?(levels = Core.Heuristics.all_levels)
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels)
     ?(pus = default_pus) ?(in_order = false) entries =
   let cells =
     List.concat_map
@@ -16,7 +16,7 @@ let run ?params ?store ?jobs ?(levels = Core.Heuristics.all_levels)
   List.concat
     (Harness.Pool.map ?jobs
        (fun (entry, level) ->
-         Experiment.run_level_configs ?params ?store ~level
+         Experiment.run_level_configs ~store ~level
            ~configs:(List.map (fun p -> (p, in_order)) pus)
            entry)
        cells)
@@ -75,13 +75,6 @@ let aggregate rows =
          List.map (fun (p, io) -> (level, p, io)) machines)
        Core.Heuristics.all_levels)
 
-let level_tag = function
-  | Core.Heuristics.Basic_block -> "bb"
-  | Core.Heuristics.Control_flow -> "cf"
-  | Core.Heuristics.Data_dependence -> "dd"
-  | Core.Heuristics.Task_size -> "ts"
-  | Core.Heuristics.Feedback -> "fb"
-
 let category_tag = function
   | Sim.Account.Useful -> "useful"
   | Sim.Account.Ctrl_squash -> "ctrl"
@@ -114,7 +107,7 @@ let pp ppf rows =
     (fun (r : Experiment.run_result) ->
       let acct = r.Experiment.stats.Sim.Stats.acct in
       Format.fprintf ppf "%-10s %-3s %3d %4s %10d" r.Experiment.workload
-        (level_tag r.Experiment.level)
+        (Core.Heuristics.level_tag r.Experiment.level)
         r.Experiment.num_pus
         (ord_name r.Experiment.in_order)
         acct.Sim.Account.cycles;
@@ -131,8 +124,9 @@ let pp_aggregate ppf rows =
   Format.fprintf ppf "@,";
   List.iter
     (fun ((level, num_pus, in_order), acct) ->
-      Format.fprintf ppf "%-3s %3d %4s %14d" (level_tag level) num_pus
-        (ord_name in_order)
+      Format.fprintf ppf "%-3s %3d %4s %14d"
+        (Core.Heuristics.level_tag level)
+        num_pus (ord_name in_order)
         (Sim.Account.budget acct);
       pp_acct_row ppf acct;
       Format.fprintf ppf "@,")

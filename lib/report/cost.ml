@@ -19,11 +19,8 @@ type row = {
   meas_overhead_pct : float;
 }
 
-let run ?store ?jobs ?(levels = Core.Heuristics.extended_levels)
+let run ~store ?jobs ?(levels = Core.Heuristics.extended_levels)
     ?(num_pus = 8) ?(in_order = false) entries =
-  let store =
-    match store with Some s -> s | None -> Harness.Artifact.create ()
-  in
   let cells =
     List.concat_map
       (fun entry -> List.map (fun level -> (entry, level)) levels)
@@ -112,7 +109,7 @@ let pp ppf rows =
       Format.fprintf ppf
         "%-10s %-3s %6d %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f@,"
         c.Harness.Job.co_workload
-        (Breakdown.level_tag c.Harness.Job.co_level)
+        (Core.Heuristics.level_tag c.Harness.Job.co_level)
         c.Harness.Job.co_tasks c.Harness.Job.co_scalar
         (100.0 *. s.Analysis.Cost.s_data_wait)
         r.meas_data_wait_pct
@@ -127,13 +124,13 @@ let pp ppf rows =
   List.iter
     (fun (level, cname, n, p) ->
       Format.fprintf ppf "  %-3s %-14s over %2d workloads: %+.3f@,"
-        (Breakdown.level_tag level) cname n p)
+        (Core.Heuristics.level_tag level) cname n p)
     (correlation rows);
   Format.fprintf ppf "@,Geometric-mean IPC per level@,";
   List.iter
     (fun (level, n, g) ->
       Format.fprintf ppf "  %-3s over %2d workloads: %.3f@,"
-        (Breakdown.level_tag level) n g)
+        (Core.Heuristics.level_tag level) n g)
     (geomean_ipc rows);
   Format.fprintf ppf "@]"
 
@@ -172,7 +169,8 @@ let to_json rows =
              (fun (level, cname, n, p) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ( "level",
+                     Harness.Json.String (Core.Heuristics.level_tag level) );
                    ("category", Harness.Json.String cname);
                    ("points", Harness.Json.Int n);
                    ("pearson", Harness.Json.Float p);
@@ -184,7 +182,8 @@ let to_json rows =
              (fun (level, n, g) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ( "level",
+                     Harness.Json.String (Core.Heuristics.level_tag level) );
                    ("points", Harness.Json.Int n);
                    ("geomean", Harness.Json.Float g);
                  ])

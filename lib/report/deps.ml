@@ -14,11 +14,8 @@ type row = {
   mem_squash_pct : float;
 }
 
-let run ?store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
     ?(in_order = false) entries =
-  let store =
-    match store with Some s -> s | None -> Harness.Artifact.create ()
-  in
   let cells =
     List.concat_map
       (fun entry -> List.map (fun level -> (entry, level)) levels)
@@ -85,7 +82,7 @@ let pp ppf rows =
       let d = r.dep in
       Format.fprintf ppf "%-10s %-3s %6d %6d %6d %6d %6d %5d %7.1f %6.1f %6.1f@,"
         d.Harness.Job.d_workload
-        (Breakdown.level_tag d.Harness.Job.d_level)
+        (Core.Heuristics.level_tag d.Harness.Job.d_level)
         d.Harness.Job.d_tasks d.Harness.Job.d_reg_edges
         d.Harness.Job.d_mem_edges d.Harness.Job.d_observed
         d.Harness.Job.d_predicted_hit
@@ -98,7 +95,7 @@ let pp ppf rows =
   List.iter
     (fun (level, n, r) ->
       Format.fprintf ppf "  %-3s over %2d workloads: %+.3f@,"
-        (Breakdown.level_tag level) n r)
+        (Core.Heuristics.level_tag level) n r)
     (correlation rows);
   Format.fprintf ppf "@]"
 
@@ -127,7 +124,8 @@ let to_json rows =
              (fun (level, n, r) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ( "level",
+                     Harness.Json.String (Core.Heuristics.level_tag level) );
                    ("points", Harness.Json.Int n);
                    ("pearson", Harness.Json.Float r);
                  ])

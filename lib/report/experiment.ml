@@ -1,10 +1,10 @@
 (* Running the paper's experiments over the workload suite.
 
    All runners share one shape: resolve the pipeline artifact (built
-   program, partition plan, dynamic trace) either from a Harness.Artifact
-   store — memoized, domain-safe, computed once per (workload, level) — or
-   by computing it locally, then time any number of machine configurations
-   against the shared plan and trace. *)
+   program, partition plan, dynamic trace) from a Harness.Artifact store —
+   memoized, domain-safe, computed once per (workload, level) — then time
+   any number of machine configurations against the shared plan and
+   trace. *)
 
 type run_result = {
   workload : string;
@@ -16,23 +16,8 @@ type run_result = {
 }
 
 (* Share the plan and trace across machine configurations of one level. *)
-let run_level_configs ?params ?store ~level ~configs entry =
-  let stats_for =
-    match store with
-    | Some store ->
-      let art = Harness.Artifact.get store ?params ~level entry in
-      fun (num_pus, in_order) ->
-        Harness.Artifact.sim store art ~num_pus ~in_order
-    | None ->
-      let prog = entry.Workloads.Registry.build () in
-      let plan = Core.Cost.plan_for_level ?params level prog in
-      let outcome = Interp.Run.execute plan.Core.Partition.prog in
-      let trace = outcome.Interp.Run.trace in
-      let prep = Sim.Engine.prepare plan trace in
-      fun (num_pus, in_order) ->
-        let cfg = Sim.Config.default ~num_pus ~in_order in
-        (Sim.Engine.run_prepared cfg prep trace).Sim.Engine.stats
-  in
+let run_level_configs ~store ~level ~configs entry =
+  let art = Harness.Artifact.get store ~level entry in
   List.map
     (fun (num_pus, in_order) ->
       {
@@ -41,14 +26,13 @@ let run_level_configs ?params ?store ~level ~configs entry =
         level;
         num_pus;
         in_order;
-        stats = stats_for (num_pus, in_order);
+        stats = Harness.Artifact.sim store art ~num_pus ~in_order;
       })
     configs
 
-let run_one ?params ?store ~level ~num_pus ~in_order entry =
+let run_one ~store ~level ~num_pus ~in_order entry =
   match
-    run_level_configs ?params ?store ~level ~configs:[ (num_pus, in_order) ]
-      entry
+    run_level_configs ~store ~level ~configs:[ (num_pus, in_order) ] entry
   with
   | [ r ] -> r
   | _ -> assert false

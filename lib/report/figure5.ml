@@ -14,7 +14,7 @@ let config_names = [ "4PU/ooo"; "8PU/ooo"; "4PU/io"; "8PU/io" ]
 
 let levels = Core.Heuristics.all_levels
 
-let run ?params ?store ?jobs entries =
+let run ~store ?jobs entries =
   Harness.Pool.map ?jobs
     (fun entry ->
       (* nested fan-out: each (entry, level) is an independent pipeline +
@@ -26,8 +26,7 @@ let run ?params ?store ?jobs entries =
           (Harness.Pool.map ?jobs
              (fun level ->
                let results =
-                 Experiment.run_level_configs ?params ?store ~level ~configs
-                   entry
+                 Experiment.run_level_configs ~store ~level ~configs entry
                in
                Array.of_list
                  (List.map (fun r -> Sim.Stats.ipc r.Experiment.stats) results))
@@ -41,7 +40,6 @@ let run ?params ?store ?jobs entries =
     entries
 
 let pp ppf rows =
-  let level_tag = [ "bb"; "cf"; "dd"; "ts" ] in
   Format.fprintf ppf
     "@[<v>Figure 5: IPC by task-selection heuristic (rows) and machine \
      configuration@,";
@@ -59,7 +57,6 @@ let pp ppf rows =
             (gain (v 0) (v 1))
             (gain (v 1) (v 2))
             (gain (v 2) (v 3)))
-        rows;
-      ignore level_tag)
+        rows)
     config_names;
   Format.fprintf ppf "@]"

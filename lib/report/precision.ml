@@ -75,10 +75,7 @@ let row_of_artifact (art : Harness.Artifact.artifact) =
     ai = Analysis.Memdep.ai_stats summary;
   }
 
-let run ?store ?jobs ?(levels = Core.Heuristics.all_levels) entries =
-  let store =
-    match store with Some s -> s | None -> Harness.Artifact.create ()
-  in
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) entries =
   let cells =
     List.concat_map
       (fun entry -> List.map (fun level -> (entry, level)) levels)
@@ -110,7 +107,7 @@ let pp ppf rows =
     (fun r ->
       Format.fprintf ppf
         "%-10s %-3s %6d %6d %6d %7d %7.1f %6d %5d %5d@," r.workload
-        (Breakdown.level_tag r.level)
+        (Core.Heuristics.level_tag r.level)
         r.sites r.fi_edges r.ab_edges (pruned r) (pruned_pct r) r.unbounded
         r.ai.Analysis.Memdep.saturated_cells
         r.ai.Analysis.Memdep.outer_rounds)
@@ -132,7 +129,7 @@ let pp ppf rows =
     Format.fprintf ppf
       "top alias region: %s (%d sites, %s/%s)@," top.top_cell
       top.top_cell_sites top.workload
-      (Breakdown.level_tag top.level));
+      (Core.Heuristics.level_tag top.level));
   Format.fprintf ppf "@]"
 
 let to_json rows =
@@ -149,7 +146,8 @@ let to_json rows =
                    ( "kind",
                      Harness.Json.String
                        (Workloads.Registry.kind_name r.kind) );
-                   ("level", Harness.Json.String (Breakdown.level_tag r.level));
+                   ( "level",
+                     Harness.Json.String (Core.Heuristics.level_tag r.level) );
                    ("sites", Harness.Json.Int r.sites);
                    ("fi_mem_edges", Harness.Json.Int r.fi_edges);
                    ("mem_edges", Harness.Json.Int r.ab_edges);

@@ -45,13 +45,12 @@ let cols_of_stats (s : Sim.Stats.t) ~num_pus =
 
 let num_pus = 8
 
-let run ?params ?store ?jobs entries =
+let run ~store ?jobs entries =
   Harness.Pool.map ?jobs
     (fun entry ->
       let one level =
         let r =
-          Experiment.run_one ?params ?store ~level ~num_pus ~in_order:false
-            entry
+          Experiment.run_one ~store ~level ~num_pus ~in_order:false entry
         in
         cols_of_stats r.Experiment.stats ~num_pus
       in

@@ -40,7 +40,7 @@ let string_field name json =
 let workload_level json =
   let* workload = string_field "workload" json in
   let* level_s = string_field "level" json in
-  let* level = Harness.Job.level_of_tag level_s in
+  let* level = Core.Heuristics.level_of_string level_s in
   Ok (workload, level)
 
 let machine json =
@@ -119,7 +119,7 @@ let op_to_json op =
     Json.Obj
       (("op", Json.String tag)
        :: ("workload", Json.String workload)
-       :: ("level", Json.String (Harness.Job.level_tag level))
+       :: ("level", Json.String (Core.Heuristics.level_tag level))
        :: extra)
   in
   match op with

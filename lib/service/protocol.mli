@@ -11,8 +11,9 @@
     v}
 
     Operations [simulate], [partition], [deps], [absint], [cost],
-    [breakdown] and [lint] address one (workload, heuristic level) pipeline — levels use
-    the {!Harness.Job.level_tag} encoding; [num_pus] (default 8) and
+    [breakdown] and [lint] address one (workload, heuristic level) pipeline —
+    levels are parsed by {!Core.Heuristics.level_of_string} (the short tag
+    or the long name); [num_pus] (default 8) and
     [in_order] (default false) further select the machine for
     [simulate]/[breakdown].  [fuzz] runs a synthetic-corpus sweep through
     the {!Fuzz} oracle stack ([seed] default 42, [n] default 100 — the

@@ -92,7 +92,7 @@ let handle_op t (op : Protocol.op) : Json.t =
     Json.Obj
       [
         ("workload", Json.String workload);
-        ("level", Json.String (Job.level_tag level));
+        ("level", Json.String (Core.Heuristics.level_tag level));
         ("funcs", Json.Int funcs);
         ("tasks", Json.Int tasks);
         ("events", Json.Int (Interp.Trace.num_events trace));

@@ -176,10 +176,33 @@ let test_table1_parallel_matches_serial () =
   checkb "identical rows" true (serial = parallel)
 
 let test_figure5_store_matches_direct () =
-  let entries = [ Workloads.Suite.find "compress" ] in
-  let direct = Report.Figure5.run ~jobs:1 entries in
+  let entry = Workloads.Suite.find "compress" in
+  (* the same grid driven straight through the pipeline layers *)
+  let direct_ipc level =
+    let prog = entry.Workloads.Registry.build () in
+    let plan = Core.Cost.plan_for_level level prog in
+    let outcome = Interp.Run.execute plan.Core.Partition.prog in
+    let trace = outcome.Interp.Run.trace in
+    let prep = Sim.Engine.prepare plan trace in
+    Array.of_list
+      (List.map
+         (fun (num_pus, in_order) ->
+           let cfg = Sim.Config.default ~num_pus ~in_order in
+           let r = Sim.Engine.run_prepared cfg prep trace in
+           Sim.Stats.ipc r.Sim.Engine.stats)
+         Report.Figure5.configs)
+  in
+  let direct =
+    [
+      {
+        Report.Figure5.workload = "compress";
+        kind = entry.Workloads.Registry.kind;
+        ipc = Array.of_list (List.map direct_ipc Report.Figure5.levels);
+      };
+    ]
+  in
   let store = Harness.Artifact.create () in
-  let cached = Report.Figure5.run ~store ~jobs:1 entries in
+  let cached = Report.Figure5.run ~store ~jobs:1 [ entry ] in
   checkb "identical rows" true (direct = cached);
   (* one pipeline per heuristic level, reused across all four machine
      configurations *)
@@ -187,7 +210,7 @@ let test_figure5_store_matches_direct () =
   checki "sixteen recorded sims" 16
     (List.length (Harness.Artifact.sim_results store));
   (* a second pass is served entirely from the cache *)
-  let again = Report.Figure5.run ~store ~jobs:1 entries in
+  let again = Report.Figure5.run ~store ~jobs:1 [ entry ] in
   checkb "cache-served pass identical" true (cached = again);
   checki "still four pipeline builds" 4 (Harness.Artifact.builds store)
 
@@ -285,39 +308,74 @@ let test_job_export_object_shape () =
           (Result.is_error (Harness.Job.of_json (Harness.Json.List [])))
       | Ok _ -> Alcotest.fail "expected {\"jobs\": [...]} at top level")
 
+(* Run a shell command; its exit status and what it wrote to stderr. *)
+let run_stderr cmd =
+  let err = Filename.temp_file "msc_stderr" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s > /dev/null 2> %s" cmd (Filename.quote err))
+      in
+      let ic = open_in_bin err in
+      let msg = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (code, msg))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* Every msc subcommand that writes a JSON file reports an unwritable path
    as a user error (exit 1), never as an uncaught exception. *)
 let test_msc_unwritable_json () =
   let file = Filename.temp_file "msc_not_a_dir" "" in
   let target = Filename.concat file "out.json" in
-  let err = Filename.temp_file "msc_stderr" ".txt" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove file; Sys.remove err)
+    ~finally:(fun () -> Sys.remove file)
     (fun () ->
       List.iter
         (fun args ->
-          let code =
-            Sys.command
-              (Printf.sprintf "../bin/msc.exe %s --json %s > /dev/null 2> %s"
-                 args (Filename.quote target) (Filename.quote err))
+          let code, msg =
+            run_stderr
+              (Printf.sprintf "../bin/msc.exe %s --json %s" args
+                 (Filename.quote target))
           in
-          let ic = open_in_bin err in
-          let msg = really_input_string ic (in_channel_length ic) in
-          close_in ic;
           checki (args ^ ": exit status") 1 code;
-          let prefix = "msc: cannot write" in
-          let n = String.length prefix in
-          let rec mentions i =
-            i + n <= String.length msg
-            && (String.sub msg i n = prefix || mentions (i + 1))
-          in
-          checkb (args ^ ": reports the path") true (mentions 0))
+          checkb (args ^ ": reports the path") true
+            (contains msg "msc: cannot write"))
         [
           "table1 --only compress"; "figure5 --only compress";
           "breakdown --only compress -l bb -p 4"; "lint --only compress -l bb";
           "deps --only compress -l bb"; "absint --only compress -l bb";
           "cost --only compress -l bb"; "fuzz -n 1 -l bb";
         ])
+
+(* A bad grid query is a command-line error that names the offending value,
+   never an uncaught exception. *)
+let test_msc_bad_arguments () =
+  List.iter
+    (fun (cmd, bad) ->
+      let code, msg = run_stderr cmd in
+      checkb (cmd ^ ": non-zero exit") true (code <> 0);
+      checkb (cmd ^ ": names " ^ bad) true (contains msg bad);
+      checkb (cmd ^ ": no uncaught exception") false
+        (contains msg "uncaught exception"))
+    [
+      ("../bin/msc.exe table1 --only nosuch", {|"nosuch"|});
+      ("../bin/msc.exe run -w nosuch", {|"nosuch"|});
+      ("../bin/msc.exe run -w compress -p 0", {|"0"|});
+      ("../bin/msc.exe deps --only compress -l bb -p 0", {|"0"|});
+      ("../bin/msc.exe breakdown --only compress -l bb -p 0", {|"0"|});
+      ("../bin/msc.exe superscalar -w compress --width 0", {|"0"|});
+      ("../bin/msc.exe cost --only compress -l zz", {|"zz"|});
+      ("../bin/msc.exe fuzz -n 1 --profile nosuch", {|"nosuch"|});
+      ("HARNESS_JOBS=x ../bin/msc.exe table1 --only compress", {|"x"|});
+    ]
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -372,6 +430,8 @@ let () =
             test_job_export_object_shape;
           Alcotest.test_case "msc unwritable json" `Quick
             test_msc_unwritable_json;
+          Alcotest.test_case "msc bad arguments" `Quick
+            test_msc_bad_arguments;
         ] );
       ( "stats",
         [ Alcotest.test_case "geomean" `Quick test_geomean ] );

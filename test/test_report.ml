@@ -39,23 +39,25 @@ let test_normalised_mispred () =
 let test_experiment_run_one () =
   let entry = Workloads.Suite.find "compress" in
   let r =
-    Report.Experiment.run_one ~level:Core.Heuristics.Control_flow ~num_pus:4
-      ~in_order:false entry
+    Report.Experiment.run_one ~store:(Harness.Artifact.create ())
+      ~level:Core.Heuristics.Control_flow ~num_pus:4 ~in_order:false entry
   in
   checkb "ipc positive" true (Sim.Stats.ipc r.Report.Experiment.stats > 0.0);
   checkb "workload recorded" true (String.equal r.Report.Experiment.workload "compress")
 
 let test_experiment_shared_trace_consistent () =
-  (* run_level_configs must agree with separate run_one calls *)
+  (* run_level_configs must agree with a separate run_one call on a
+     fresh store, which rebuilds the pipeline from scratch *)
   let entry = Workloads.Suite.find "compress" in
   let results =
-    Report.Experiment.run_level_configs ~level:Core.Heuristics.Control_flow
+    Report.Experiment.run_level_configs ~store:(Harness.Artifact.create ())
+      ~level:Core.Heuristics.Control_flow
       ~configs:[ (4, false); (8, false) ]
       entry
   in
   let solo =
-    Report.Experiment.run_one ~level:Core.Heuristics.Control_flow ~num_pus:4
-      ~in_order:false entry
+    Report.Experiment.run_one ~store:(Harness.Artifact.create ())
+      ~level:Core.Heuristics.Control_flow ~num_pus:4 ~in_order:false entry
   in
   let shared = List.hd results in
   checkf "same ipc from shared trace"
@@ -63,7 +65,10 @@ let test_experiment_shared_trace_consistent () =
     (Sim.Stats.ipc shared.Report.Experiment.stats)
 
 let test_table1_row () =
-  let rows = Report.Table1.run [ Workloads.Suite.find "compress" ] in
+  let rows =
+    Report.Table1.run ~store:(Harness.Artifact.create ())
+      [ Workloads.Suite.find "compress" ]
+  in
   match rows with
   | [ row ] ->
     checkb "cf tasks bigger than bb" true
@@ -77,7 +82,10 @@ let test_table1_row () =
   | _ -> Alcotest.fail "expected one row"
 
 let test_figure5_row () =
-  let rows = Report.Figure5.run [ Workloads.Suite.find "compress" ] in
+  let rows =
+    Report.Figure5.run ~store:(Harness.Artifact.create ())
+      [ Workloads.Suite.find "compress" ]
+  in
   match rows with
   | [ row ] ->
     (* 4 levels x 4 configs, all positive *)
