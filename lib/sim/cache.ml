@@ -1,43 +1,39 @@
 (* Set-associative cache model, LRU replacement.
 
-   Tags and ages live in two flat arrays indexed [set * ways + way]: a
-   simulation run creates three caches (two L1s and the L2) and probes
-   them once per load and per block fetch, so the per-set subarrays of the
-   obvious representation cost an extra indirection per probe and tens of
-   thousands of small allocations per run. *)
+   Tags and ages are rows of [ways] ints per set in two Occ.Pages tables:
+   a simulation run creates three caches (two L1s and the L2) and probes
+   them once per load and per block fetch, so per-set subarrays would cost
+   an extra indirection per probe and tens of thousands of small
+   allocations per run, and flat whole-cache arrays would make every run
+   allocate and fill the full 4 MB L2 even when it touches a few hundred
+   sets.  A page of 256 sets is created on the first access to one of
+   them, with the same initial contents as the flat arrays had. *)
 
 type t = {
   sets : int;
   ways : int;
   block_words : int;
-  (* tags.(set * ways + way); lru ages, 0 = most recent *)
-  tags : int array;
-  lru : int array;
+  (* per set: tags of the ways (-1 = invalid); lru ages, 0 = most recent *)
+  tags : Occ.Pages.t;
+  lru : Occ.Pages.t;
   mutable accesses : int;
   mutable misses : int;
 }
 
 let create ~sets ~ways ~block_words =
-  let lru = Array.make (sets * ways) 0 in
-  for s = 0 to sets - 1 do
-    for w = 0 to ways - 1 do
-      lru.((s * ways) + w) <- w
-    done
-  done;
   {
     sets;
     ways;
     block_words;
-    tags = Array.make (sets * ways) (-1);
-    lru;
+    tags = Occ.Pages.create ~rows:sets ~width:ways ~init:(fun _ -> -1);
+    lru = Occ.Pages.create ~rows:sets ~width:ways ~init:(fun w -> w);
     accesses = 0;
     misses = 0;
   }
 
-let touch t base way =
-  let lru = t.lru in
+let touch ways (lru : int array) base way =
   let age = lru.(base + way) in
-  for w = base to base + t.ways - 1 do
+  for w = base to base + ways - 1 do
     if lru.(w) < age then lru.(w) <- lru.(w) + 1
   done;
   lru.(base + way) <- 0
@@ -47,26 +43,27 @@ let access t addr =
   let block = addr / t.block_words in
   let set = block mod t.sets in
   let tag = block / t.sets in
-  let base = set * t.ways in
-  let tags = t.tags in
+  let ways = t.ways in
+  let tags = Occ.Pages.page t.tags set in
+  let lru = Occ.Pages.page t.lru set in
+  let base = Occ.Pages.offset t.tags set in
   let found = ref (-1) in
-  for w = 0 to t.ways - 1 do
+  for w = 0 to ways - 1 do
     if tags.(base + w) = tag then found := w
   done;
   if !found >= 0 then begin
-    touch t base !found;
+    touch ways lru base !found;
     true
   end
   else begin
     t.misses <- t.misses + 1;
     (* evict LRU way *)
-    let lru = t.lru in
     let victim = ref 0 in
-    for w = 0 to t.ways - 1 do
+    for w = 0 to ways - 1 do
       if lru.(base + w) > lru.(base + !victim) then victim := w
     done;
     tags.(base + !victim) <- tag;
-    touch t base !victim;
+    touch ways lru base !victim;
     false
   end
 

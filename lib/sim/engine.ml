@@ -4,11 +4,15 @@
    (DESIGN.md §10): ring-send times are generation-stamped per-flight
    register slots, per-flight store maps and the synchronization table are
    reusable open-addressing int maps with packed keys, and the shared
-   ring / ARB-bank bandwidth is Occ.Slots occupancy rows indexed by
-   absolute cycle.  One Timing.ctx is reused for every attempt of every
-   dynamic task instance, and every in-flight scan is a plain loop over
-   those arrays, so the per-task loop allocates nothing in the steady
-   state.  The schedule is cycle-for-cycle identical to the frozen
+   ring / ARB-bank bandwidth is Occ.Slots occupancy rows over a sliding
+   window of cycles, released below each task's first assignment cycle.
+   One Timing.ctx is reused for every attempt of every dynamic task
+   instance, and every in-flight scan is a plain loop over those arrays.
+   Nothing is sized by the length of the run: per-task times live in a
+   ring over the flight window.  What a run still allocates is its set-up
+   (context, flight-window arrays and maps, hook closures), the cache and
+   predictor pages it touches, and the geometric growth of its scratch
+   arrays, maps and windows; the per-instruction path allocates nothing.  The schedule is cycle-for-cycle identical to the frozen
    pre-event core (Sim_ref.Engine_ref), pinned by the qcheck differential
    in test/test_event_core.ml and the byte-identical report goldens. *)
 
@@ -65,6 +69,16 @@ let site_mask = (1 lsl site_bits) - 1
 
 let max_violation_retries = 8
 
+(* Position of a successor in a task's target list, or -1.  Top-level: a
+   local recursive function would be a closure allocated per transition. *)
+let rec label_index (l : Ir.Block.label) i = function
+  | [] -> -1
+  | x :: rest -> if x = l then i else label_index l (i + 1) rest
+
+let rec name_index name i = function
+  | [] -> -1
+  | x :: rest -> if String.equal x name then i else name_index name (i + 1) rest
+
 (* Ring-send time of register [r] written at [psite]/[t] by [inst]: at the
    write itself when the compiler can prove it final (forward bits), at the
    first executed block past the write from which no rewrite is reachable
@@ -108,7 +122,7 @@ let send_time_of trace (tctx : Timing.ctx) rc (inst : Dyntask.instance)
            && not
                 (Core.Regcomm.may_rewrite rc ~task:inst.Dyntask.task
                    ~blk:ev_blk ~reg:r)
-         then release := max t tctx.Timing.event_entry.(!j);
+         then release := Int.max t tctx.Timing.event_entry.(!j);
          incr j
        done);
       !release
@@ -134,9 +148,16 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let n = cfg.Config.num_pus in
   let two_n = 2 * n in
   let pu_free = Array.make n 0 in
-  let assign = Array.make (max 1 k_max) 0 in
-  let retire = Array.make (max 1 k_max) 0 in
-  let resolve = Array.make (max 1 k_max) 0 in
+  (* per-task times: only task k-1 and the in-flight tasks (>= k-N+1) are
+     ever read, so retirement times live in a ring over the flight window
+     (slot j land ring_mask) and the previous task's times in scalars —
+     nothing here is sized by the run's task count *)
+  let ring_mask =
+    let rec up r = if r >= n then r else up (2 * r) in
+    up 1 - 1
+  in
+  let retire = Array.make (ring_mask + 1) 0 in
+  let prev_assign = ref 0 and prev_resolve = ref 0 and prev_retire = ref 0 in
   (* circular flight window: only the last 2N instances can matter to a
      younger task's timing.  A register send of task j lives at
      send_time.((j mod 2N) * Reg.count + r), valid iff the stamp is j; a
@@ -148,9 +169,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   (* (load site, store site) pairs, packed; grows for the whole run *)
   let sync_table = Occ.Intmap.create 64 in
   (* per-PU ring injection bandwidth, per-cycle *)
-  let ring_slots = Occ.Slots.create ~rows:n ~hint:4096 in
+  let ring_slots = Occ.Slots.create ~rows:n ~hint:256 in
   (* one access per D-cache/ARB bank per cycle, shared by all PUs *)
-  let bank_slots = Occ.Slots.create ~rows:cfg.Config.l1_banks ~hint:4096 in
+  let bank_slots = Occ.Slots.create ~rows:cfg.Config.l1_banks ~hint:256 in
   (* per-attempt inputs read by the once-per-run hook closures *)
   let cur_k = ref 0 in
   let cur_assign = ref 0 in
@@ -162,7 +183,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         (fun r ->
           let j = last_writer_task.(r) in
           if j < 0 || j < !in_flight_low then 0
-          else if retire.(j) <= !cur_assign then 0
+          else if retire.(j land ring_mask) <= !cur_assign then 0
           else begin
             let s = ((j mod two_n) * Ir.Reg.count) + r in
             if send_stamp.(s) = j then
@@ -178,7 +199,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           let continue_ = ref true in
           while !continue_ do
             if !j < !in_flight_low || !j < 0 then continue_ := false
-            else if retire.(!j) <= !cur_assign then decr j
+            else if retire.(!j land ring_mask) <= !cur_assign then decr j
             else begin
               let v = Occ.Intmap.find store_maps.(!j mod two_n) addr in
               if v >= 0 then begin
@@ -229,15 +250,10 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     match pinst.Dyntask.kind with
     | Dyntask.Program_end -> true
     | Dyntask.Returns ->
-      (match Predict.Ras.pop ras with
-      | Some uid -> uid = entry_uid k
-      | None -> false)
+      (* block ids are >= 0, so -1 (underflow) never matches *)
+      Predict.Ras.pop_or ras (-1) = entry_uid k
     | Dyntask.Fallthrough l ->
-      let rec index i = function
-        | [] -> -1
-        | x :: rest -> if x = l then i else index (i + 1) rest
-      in
-      let actual = index 0 ptask.Core.Task.targets in
+      let actual = label_index l 0 ptask.Core.Task.targets in
       if actual < 0 then false
       else Predict.Target.predict_and_update task_pred ~pc ~actual
     | Dyntask.Calls callee_fid ->
@@ -248,14 +264,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           (Layout.block_id layout ~fid:pinst.Dyntask.fid ~blk:cont)
       | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
       | Ir.Block.Halt -> ());
-      let rec index i = function
-        | [] -> -1
-        | x :: rest ->
-          if String.equal x fnames.(callee_fid) then i else index (i + 1) rest
-      in
       let actual =
         List.length ptask.Core.Task.targets
-        + index 0 ptask.Core.Task.calls_out
+        + name_index fnames.(callee_fid) 0 ptask.Core.Task.calls_out
       in
       Predict.Target.predict_and_update task_pred ~pc ~actual
   in
@@ -263,7 +274,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     let inst = instances.(k) in
     let pu = k mod n in
     cur_k := k;
-    in_flight_low := max 0 (k - n + 1);
+    in_flight_low := Int.max 0 (k - n + 1);
     (* cycle accounting: remember when this PU last released a task, before
        any state for task k is updated *)
     let prev_free = pu_free.(pu) in
@@ -276,17 +287,21 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         stats.Stats.task_mispredicts <- stats.Stats.task_mispredicts + 1
     end;
     let base_assign =
-      if k = 0 then 0 else max pu_free.(pu) (assign.(k - 1) + 1)
+      if k = 0 then 0 else Int.max pu_free.(pu) (!prev_assign + 1)
     in
     let a0 =
       if k > 0 && not correct then begin
-        let restart = resolve.(k - 1) + 1 in
+        let restart = !prev_resolve + 1 in
         stats.Stats.cf_penalty <-
-          stats.Stats.cf_penalty + max 0 (restart - base_assign);
-        max base_assign restart
+          stats.Stats.cf_penalty + Int.max 0 (restart - base_assign);
+        Int.max base_assign restart
       end
       else base_assign
     in
+    (* a0 grows strictly with k, and every ring or bank probe of this task
+       and of later ones asks for a cycle at or after it *)
+    Occ.Slots.release ring_slots ~below:a0;
+    Occ.Slots.release bank_slots ~below:a0;
     (* violation / ARB-overflow loop; each attempt leaves its schedule in
        [tctx] *)
     let assign_t = ref a0 in
@@ -302,7 +317,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       cur_assign := !assign_t;
       Timing.exec tctx inst
         ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
-        ~mem_hold:retire.(k - 1) hooks
+        ~mem_hold:!prev_retire hooks
     end;
     let retries = ref 0 in
     let violations_here = ref 0 in
@@ -327,7 +342,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           let continue_ = ref true in
           while !continue_ do
             if !j < !in_flight_low || !j < 0 then continue_ := false
-            else if retire.(!j) <= m_time then continue_ := false
+            else if retire.(!j land ring_mask) <= m_time then continue_ := false
             else begin
               let v = Occ.Intmap.find store_maps.(!j mod two_n) m_addr in
               if v >= 0 then begin
@@ -353,8 +368,8 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           incr violations_here;
           stats.Stats.violations <- stats.Stats.violations + 1;
           stats.Stats.mem_penalty <-
-            stats.Stats.mem_penalty + max 0 (v_time - !assign_t);
-          assign_t := max !assign_t v_time + 1;
+            stats.Stats.mem_penalty + Int.max 0 (v_time - !assign_t);
+          assign_t := Int.max !assign_t v_time + 1;
           incr retries;
           cur_assign := !assign_t;
           Timing.exec tctx inst
@@ -364,12 +379,15 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         end
       end
     done;
-    assign.(k) <- !assign_t;
-    resolve.(k) <- tctx.Timing.resolve;
+    prev_assign := !assign_t;
+    prev_resolve := tctx.Timing.resolve;
     let complete = tctx.Timing.complete in
-    retire.(k) <-
-      (if k = 0 then complete else max complete (retire.(k - 1) + 1));
-    pu_free.(pu) <- retire.(k) + cfg.Config.task_end_overhead;
+    let retire_k =
+      if k = 0 then complete else Int.max complete (!prev_retire + 1)
+    in
+    retire.(k land ring_mask) <- retire_k;
+    prev_retire := retire_k;
+    pu_free.(pu) <- retire_k + cfg.Config.task_end_overhead;
     (* register the task's outgoing values on the ring, per-register in
        descending register order (as the frozen lib/sim_ref core does),
        because ring-slot contention makes registration order visible to
@@ -429,7 +447,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     stats.Stats.intra_task_dep <-
       stats.Stats.intra_task_dep + tctx.Timing.intra_wait;
     stats.Stats.load_imbalance <-
-      stats.Stats.load_imbalance + max 0 (retire.(k) - complete);
+      stats.Stats.load_imbalance + Int.max 0 (retire_k - complete);
     stats.Stats.syncs <- stats.Stats.syncs + tctx.Timing.sync_waits;
     (* cycle accounting: partition this PU's timeline from its previous
        release [prev_free] to this task's release [retire + end_overhead]
@@ -444,7 +462,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       (cfg.Config.task_start_overhead + cfg.Config.task_end_overhead);
     Timing.attribute tctx
       ~start_fetch:(!assign_t + cfg.Config.task_start_overhead) acct;
-    Account.add acct Account.Load_imbalance (retire.(k) - complete);
+    Account.add acct Account.Load_imbalance (retire_k - complete);
     (match observer with
     | Some f ->
       f
@@ -454,7 +472,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           e_pu = pu;
           e_assign = !assign_t;
           e_complete = complete;
-          e_retire = retire.(k);
+          e_retire = retire_k;
           e_mispredicted = not correct;
           e_violations = !violations_here;
         }
@@ -462,20 +480,21 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     (* window-span sample: dynamic instructions in flight at assignment *)
     let span = ref inst.Dyntask.size in
     for j = !in_flight_low to k - 1 do
-      if retire.(j) > !assign_t then span := !span + instances.(j).Dyntask.size
+      if retire.(j land ring_mask) > !assign_t then
+        span := !span + instances.(j).Dyntask.size
     done;
     stats.Stats.window_span_total <- stats.Stats.window_span_total + !span;
     stats.Stats.window_span_samples <- stats.Stats.window_span_samples + 1
   done;
   (* Total time is the last task's retirement plus its end overhead.
-     [retire.(k_max - 1)] is written from the *final* timing attempt, after
+     [prev_retire] is written from the *final* timing attempt, after
      the ARB-overflow re-attempt and the violation squash/re-execution loop
      have converged, and retirement times are strictly increasing in k — so
      a squash-replayed final task is fully counted.  The conservation check
      below would catch any re-introduced under-count: a cycles value taken
      from a pre-replay snapshot could not absorb the Mem_squash charge. *)
   if k_max > 0 then
-    stats.Stats.cycles <- retire.(k_max - 1) + cfg.Config.task_end_overhead;
+    stats.Stats.cycles <- !prev_retire + cfg.Config.task_end_overhead;
   (* cycle accounting: each PU drains idle from its last release to the end
      of execution, completing the per-PU telescopes *)
   for p = 0 to n - 1 do

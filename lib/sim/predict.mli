@@ -7,7 +7,11 @@
       saturating counter plus a 2-bit target number, predicting *which of
       the task's ≤ 4 successors* comes next.  Also reused for intra-task
       indexed jumps.
-    - {!Ras}: return address stack for call/return task sequencing. *)
+    - {!Ras}: return address stack for call/return task sequencing.
+
+    The 64K-entry tables are allocated in pages on first touch
+    ({!Occ.Pages}); every entry still starts at the value the flat table
+    had. *)
 
 module Gshare : sig
   type t
@@ -36,10 +40,18 @@ module Ras : sig
   type t
 
   val create : int -> t
+  (** A stack of the given capacity, at least 1 (else [Invalid_argument]);
+      a fixed ring of ints. *)
+
   val push : t -> int -> unit
+  (** On a full stack the oldest entry is dropped. *)
 
   val pop : t -> int option
   (** [None] on underflow (prediction necessarily wrong). *)
+
+  val pop_or : t -> int -> int
+  (** [pop_or t d] is {!pop} without the option: the popped entry, or [d]
+      on underflow. *)
 
   val depth : t -> int
 end

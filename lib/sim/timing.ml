@@ -1,15 +1,17 @@
 (* Per-task pipeline timing — the event-driven, structure-of-arrays core.
 
    One [ctx] is allocated per simulation run and reused for every attempt
-   of every dynamic task instance: all per-attempt state lives in
-   preallocated flat int arrays and mutable ctx fields invalidated by a
-   generation bump, so the steady state allocates nothing — every helper
-   on the hot path is a top-level function fully applied to the context
-   (an inner closure would re-box the scheduler state on each attempt).
-   Issue and commit bandwidth are generation-stamped occupancy windows
-   indexed by absolute cycle (value = gen lsl 8 | count); instead of
-   re-probing a hashtable cycle by cycle, the scheduler jumps to the next
-   cycle with a free slot.  Sites are packed into single ints
+   of every dynamic task instance: all per-attempt state lives in flat int
+   arrays and mutable ctx fields invalidated by a generation bump, and
+   every helper on the hot path is a top-level function fully applied to
+   the context (an inner closure would re-box the scheduler state on each
+   attempt).  An attempt allocates only when a scratch array first has to
+   grow past the largest attempt seen so far.  Issue and commit bandwidth
+   are generation-stamped occupancy windows indexed by cycle relative to
+   the attempt's [start_fetch] (value = gen lsl 8 | count), so they span
+   the longest attempt, not the whole run; instead of re-probing a
+   hashtable cycle by cycle, the scheduler jumps to the next cycle with a
+   free slot.  Sites are packed into single ints
    (fid lsl 36 | blk lsl 16 | idx) and the loads / stores / event-entry
    results are growable parallel int arrays.  The engine drives [exec]
    through a [hooks] record created once per run. *)
@@ -45,11 +47,12 @@ type ctx = {
   units_branch : int array;
   rob : int array;
   iq : int array;
-  (* generation-stamped bandwidth windows indexed by absolute cycle;
+  (* generation-stamped bandwidth windows indexed by cycle - slot_base;
      slot value = gen lsl 8 | count, stale generations read as 0 *)
   mutable issue_slots : int array;
   mutable commit_slots : int array;
   mutable gen : int;
+  mutable slot_base : int;  (* start_fetch of the current attempt *)
   (* register state *)
   local_time : int array;   (* completion time of the last local write; -1 none *)
   local_site : int array;   (* packed site of that write *)
@@ -99,7 +102,13 @@ let null_hooks =
     h_switch_pred = (fun ~pc:_ ~actual:_ -> true);
   }
 
+(* Slot counts live in the low 8 bits of a window entry, and a count
+   reaches [issue_width] before the cycle is full. *)
 let create (cfg : Config.t) trace layout =
+  let w = cfg.Config.issue_width in
+  if w < 1 || w > 255 then
+    invalid_arg
+      (Printf.sprintf "Timing.create: issue_width %d outside 1..255" w);
   {
     cfg;
     trace;
@@ -110,9 +119,10 @@ let create (cfg : Config.t) trace layout =
     units_branch = Array.make cfg.Config.fu_branch 0;
     rob = Array.make cfg.Config.rob_size 0;
     iq = Array.make cfg.Config.iq_size 0;
-    issue_slots = Array.make 4096 0;
-    commit_slots = Array.make 4096 0;
+    issue_slots = Array.make 256 0;
+    commit_slots = Array.make 256 0;
     gen = 0;
+    slot_base = 0;
     local_time = Array.make Ir.Reg.count (-1);
     local_site = Array.make Ir.Reg.count 0;
     avail_cache = Array.make Ir.Reg.count (-1);
@@ -150,13 +160,15 @@ let grow_int_array a n =
   let len = Array.length a in
   if n <= len then a
   else begin
-    let b = Array.make (max (2 * len) n) 0 in
+    let b = Array.make (Int.max (2 * len) n) 0 in
     Array.blit a 0 b 0 len;
     b
   end
 
 (* --- top-level hot-path helpers (no per-attempt closures) ---------------- *)
 
+(* [t] is relative to [slot_base]; every issue and commit cycle of an
+   attempt is at or after its [start_fetch], so [t >= 0] *)
 let[@inline] slot_count a gen t =
   if t >= Array.length a then 0
   else begin
@@ -194,13 +206,14 @@ let find_issue ctx cand (units : int array) ~init =
       if units.(u) < units.(!best) then best := u
     done;
     if units.(!best) > !t then t := units.(!best)
-    else if slot_count ctx.issue_slots gen !t >= issue_width then incr t
+    else if slot_count ctx.issue_slots gen (!t - ctx.slot_base) >= issue_width
+    then incr t
     else begin
       chosen := !best;
       continue_ := false
     end
   done;
-  take_issue ctx !t;
+  take_issue ctx (!t - ctx.slot_base);
   units.(!chosen) <- !t + init;
   !t
 
@@ -222,7 +235,7 @@ let[@inline] outside_avail ctx r =
   let c = ctx.avail_cache.(r) in
   if c >= 0 then c
   else begin
-    let v = max 0 (ctx.h.h_reg_avail r) in
+    let v = Int.max 0 (ctx.h.h_reg_avail r) in
     ctx.avail_cache.(r) <- v;
     v
   end
@@ -270,8 +283,8 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   let disp_t = ref (fetch_t + cfg.Config.front_depth) in
   let rob_size = cfg.Config.rob_size in
   let iq_size = cfg.Config.iq_size in
-  if i >= rob_size then disp_t := max !disp_t ctx.rob.(i mod rob_size);
-  if i >= iq_size then disp_t := max !disp_t ctx.iq.(i mod iq_size);
+  if i >= rob_size then disp_t := Int.max !disp_t ctx.rob.(i mod rob_size);
+  if i >= iq_size then disp_t := Int.max !disp_t ctx.iq.(i mod iq_size);
   (* operand readiness — inlined (a [use] helper closure would force
      [ready]/[inter_source] onto the heap and allocate per instruction) *)
   let ready = ref 0 in
@@ -345,14 +358,14 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
     end
   end;
   let base =
-    if cfg.Config.in_order then max !disp_t ctx.last_issue else !disp_t
+    if cfg.Config.in_order then Int.max !disp_t ctx.last_issue else !disp_t
   in
   if !ready > base then begin
     let w = !ready - base in
     if !inter_source then ctx.inter_wait <- ctx.inter_wait + w
     else ctx.intra_wait <- ctx.intra_wait + w
   end;
-  let cand = max base !ready in
+  let cand = Int.max base !ready in
   let issue_t = find_issue ctx cand units ~init in
   if issue_t > ctx.last_issue then ctx.last_issue <- issue_t;
   (* memory operations additionally contend for their interleaved bank *)
@@ -361,7 +374,7 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
     else issue_t
   in
   let lat =
-    if !is_load then max (h.h_load_lat ~addr:!load_addr) cfg.Config.arb_hit
+    if !is_load then Int.max (h.h_load_lat ~addr:!load_addr) cfg.Config.arb_hit
     else latency
   in
   let complete_t = access_t + lat in
@@ -377,9 +390,12 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   (* in-order commit with issue-width bandwidth *)
   let issue_width = cfg.Config.issue_width in
   let gen = ctx.gen in
-  let c = ref (max complete_t ctx.last_commit) in
-  while slot_count ctx.commit_slots gen !c >= issue_width do incr c done;
-  take_commit ctx !c;
+  let slot_base = ctx.slot_base in
+  let c = ref (Int.max complete_t ctx.last_commit) in
+  while slot_count ctx.commit_slots gen (!c - slot_base) >= issue_width do
+    incr c
+  done;
+  take_commit ctx (!c - slot_base);
   ctx.last_commit <- !c;
   ctx.rob.(i mod rob_size) <- !c;
   ctx.iq.(i mod iq_size) <- issue_t;
@@ -396,6 +412,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
   let layout = ctx.layout in
   (* new attempt: invalidate every slot window by generation *)
   ctx.gen <- ctx.gen + 1;
+  ctx.slot_base <- start_fetch;
   Array.fill ctx.units_int 0 (Array.length ctx.units_int) 0;
   Array.fill ctx.units_fp 0 (Array.length ctx.units_fp) 0;
   Array.fill ctx.units_mem 0 (Array.length ctx.units_mem) 0;
@@ -574,11 +591,13 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
     | Ir.Block.Switch (_, targets, _) when next_in_fid ->
       ctx.intra_branches <- ctx.intra_branches + 1;
       let next_blk = Interp.Trace.get_blk trace (j + 1) in
-      let actual = ref (Array.length targets) in
-      Array.iteri
-        (fun k l ->
-          if l = next_blk && !actual = Array.length targets then actual := k)
-        targets;
+      (* first arm naming the next block (a loop, not an allocating
+         Array.iteri closure) *)
+      let n_targets = Array.length targets in
+      let actual = ref 0 in
+      while !actual < n_targets && targets.(!actual) <> next_blk do
+        incr actual
+      done;
       if not (h.h_switch_pred ~pc ~actual:!actual) then begin
         ctx.intra_mispredicts <- ctx.intra_mispredicts + 1;
         if j < inst.Dyntask.last then
@@ -597,7 +616,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
    exceed the wall-clock window, so it is clamped — attribution charges each
    wall-clock cycle at most once. *)
 let attribute (ctx : ctx) ~start_fetch acct =
-  let window = max 0 (ctx.complete - start_fetch) in
-  let data_wait = min ctx.inter_wait window in
+  let window = Int.max 0 (ctx.complete - start_fetch) in
+  let data_wait = Int.min ctx.inter_wait window in
   Account.add acct Account.Data_wait data_wait;
   Account.add acct Account.Useful (window - data_wait)

@@ -13,9 +13,11 @@
 
     The engine allocates one {!ctx} per simulation and calls {!exec} for
     every attempt of every dynamic task instance; all scratch state is
-    preallocated and invalidated by generation stamps, so steady-state
-    execution allocates nothing.  Results are read directly from the
-    context's flat arrays (DESIGN.md §10). *)
+    reused and invalidated by generation stamps, so an attempt allocates
+    only when a scratch array must first grow past the largest attempt so
+    far.  The issue/commit windows are indexed relative to the attempt's
+    [start_fetch], so they span the longest attempt, not the run.  Results
+    are read directly from the context's flat arrays (DESIGN.md §10). *)
 
 (** Inter-task inputs as a record of closures created once per run (the
     closures read the engine's mutable per-task state, so nothing is
@@ -52,6 +54,9 @@ type ctx = {
   mutable issue_slots : int array;
   mutable commit_slots : int array;
   mutable gen : int;
+  mutable slot_base : int;
+      (** [start_fetch] of the current attempt: cycle [t] of the issue and
+          commit windows is at index [t - slot_base] *)
   local_time : int array;
       (** per register: completion time of the instance's last write, or -1 *)
   local_site : int array;  (** packed site of that write (see {!pack_site}) *)
@@ -99,6 +104,8 @@ val site_blk : int -> int
 val site_idx : int -> int
 
 val create : Config.t -> Interp.Trace.t -> Layout.t -> ctx
+(** Raises [Invalid_argument] unless [issue_width] is in [1..255]: the
+    windows keep per-cycle counts in 8 bits. *)
 
 val exec :
   ctx -> Dyntask.instance -> start_fetch:int -> mem_hold:int -> hooks -> unit

@@ -497,6 +497,291 @@ let prop_engine_retires_everything =
           && r.Sim.Engine.stats.Sim.Stats.cycles > 0)
         Core.Heuristics.all_levels)
 
+(* --- paged tables against flat reference models ------------------------- *)
+
+(* The simulator allocates its cache and predictor tables in pages on first
+   touch.  These tiny flat models are the tables as they were before that:
+   one array for the whole structure, initialised up front.  Streams are
+   drawn from a fixed seed, printed in every failure message. *)
+let diff_seed = 20261018
+
+let raises_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+module Flat_cache = struct
+  type t = { sets : int; ways : int; bw : int; tags : int array; lru : int array }
+
+  let create ~sets ~ways ~block_words =
+    {
+      sets;
+      ways;
+      bw = block_words;
+      tags = Array.make (sets * ways) (-1);
+      lru = Array.init (sets * ways) (fun i -> i mod ways);
+    }
+
+  let touch t base way =
+    let age = t.lru.(base + way) in
+    for w = base to base + t.ways - 1 do
+      if t.lru.(w) < age then t.lru.(w) <- t.lru.(w) + 1
+    done;
+    t.lru.(base + way) <- 0
+
+  let access t addr =
+    let block = addr / t.bw in
+    let set = block mod t.sets and tag = block / t.sets in
+    let base = set * t.ways in
+    let found = ref (-1) in
+    for w = 0 to t.ways - 1 do
+      if t.tags.(base + w) = tag then found := w
+    done;
+    if !found >= 0 then (touch t base !found; true)
+    else begin
+      let victim = ref 0 in
+      for w = 0 to t.ways - 1 do
+        if t.lru.(base + w) > t.lru.(base + !victim) then victim := w
+      done;
+      t.tags.(base + !victim) <- tag;
+      touch t base !victim;
+      false
+    end
+end
+
+let test_paged_cache_matches_flat () =
+  let rng = Random.State.make [| diff_seed |] in
+  List.iter
+    (fun (sets, ways, block_words) ->
+      let c = Sim.Cache.create ~sets ~ways ~block_words in
+      let f = Flat_cache.create ~sets ~ways ~block_words in
+      (* about twice the capacity, so both hits and evictions are common *)
+      let span = 2 * sets * ways * block_words in
+      let misses = ref 0 in
+      for i = 1 to 20_000 do
+        let addr = Random.State.int rng span in
+        let hit = Flat_cache.access f addr in
+        if not hit then incr misses;
+        if Sim.Cache.access c addr <> hit then
+          Alcotest.failf "seed %d: %d sets x %d ways: access %d (addr %d) differs"
+            diff_seed sets ways i addr
+      done;
+      checki "accesses" 20_000 (Sim.Cache.accesses c);
+      checki "misses" !misses (Sim.Cache.misses c))
+    [ (1, 1, 1); (1, 3, 2); (7, 3, 8); (300, 1, 8); (300, 3, 8);
+      (257, 2, 4); (1000, 2, 8); (65536, 2, 8) ]
+
+let mix pc = (pc * 2654435761) land max_int
+
+let test_paged_predictors_match_flat () =
+  let rng = Random.State.make [| diff_seed |] in
+  List.iter
+    (fun (entries, bits) ->
+      let cfg =
+        { cfg4 with Sim.Config.predictor_entries = entries; predictor_bits = bits }
+      in
+      let mask = entries - 1 and hist_mask = (1 lsl bits) - 1 in
+      let fail what i =
+        Alcotest.failf "seed %d: %s, %d entries, %d bits: step %d differs"
+          diff_seed what entries bits i
+      in
+      (* gshare: 2-bit counters starting weakly taken *)
+      let g = Sim.Predict.Gshare.create cfg in
+      let table = Array.make entries 2 and hist = ref 0 in
+      for i = 1 to 20_000 do
+        let pc = Random.State.int rng 4000 in
+        let taken = pc land 3 <> 0 || Random.State.bool rng in
+        let idx = (mix pc lxor !hist) land mask in
+        let c = table.(idx) in
+        let expect = (c >= 2) = taken in
+        table.(idx) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+        hist := ((!hist lsl 1) lor (if taken then 1 else 0)) land hist_mask;
+        if Sim.Predict.Gshare.predict_and_update g ~pc ~taken <> expect then
+          fail "gshare" i
+      done;
+      (* path-based target predictor, packed counter lsl 2 | target *)
+      List.iter
+        (fun use_history ->
+          let t = Sim.Predict.Target.create ~use_history cfg in
+          let table = Array.make entries 0 and hist = ref 0 in
+          for i = 1 to 20_000 do
+            let pc = Random.State.int rng 4000 in
+            let actual =
+              if Random.State.int rng 4 = 0 then Random.State.int rng 6
+              else pc mod 3
+            in
+            let idx =
+              (if use_history then mix pc lxor !hist else mix pc) land mask
+            in
+            let e = table.(idx) in
+            let counter = e lsr 2 and target = e land 3 in
+            let expect = target = actual land 3 && actual < 4 in
+            table.(idx) <-
+              (if target = actual land 3 then (min 3 (counter + 1) lsl 2) lor target
+               else if counter > 0 then ((counter - 1) lsl 2) lor target
+               else actual land 3);
+            hist := ((!hist lsl 2) lxor mix pc lxor actual) land hist_mask;
+            if Sim.Predict.Target.predict_and_update t ~pc ~actual <> expect then
+              fail (if use_history then "target" else "bimodal target") i
+          done)
+        [ true; false ])
+    [ (65536, 16); (1000, 10); (300, 6); (100, 16) ]
+
+(* The ring against a list model: push drops the oldest entry at capacity,
+   pop of an empty stack answers None. *)
+let test_ras_matches_list () =
+  let rng = Random.State.make [| diff_seed |] in
+  List.iter
+    (fun capacity ->
+      let r = Sim.Predict.Ras.create capacity in
+      let model = ref [] in
+      for i = 1 to 5_000 do
+        if Random.State.int rng 5 < 3 then begin
+          let v = Random.State.int rng 1000 in
+          Sim.Predict.Ras.push r v;
+          model := List.filteri (fun j _ -> j < capacity) (v :: !model)
+        end
+        else begin
+          let expect = match !model with [] -> None | v :: rest -> model := rest; Some v in
+          if Sim.Predict.Ras.pop r <> expect then
+            Alcotest.failf "seed %d: capacity %d: pop at step %d differs"
+              diff_seed capacity i
+        end;
+        checki "depth" (List.length !model) (Sim.Predict.Ras.depth r)
+      done)
+    [ 1; 2; 5; 64 ];
+  let r = Sim.Predict.Ras.create 2 in
+  checki "pop_or on underflow" (-1) (Sim.Predict.Ras.pop_or r (-1));
+  Sim.Predict.Ras.push r 7;
+  checki "pop_or" 7 (Sim.Predict.Ras.pop_or r (-1));
+  raises_invalid "capacity 0" (fun () -> Sim.Predict.Ras.create 0)
+
+(* --- occupancy windows ---------------------------------------------------- *)
+
+let test_slots_window_shift_and_growth () =
+  let module S = Sim.Occ.Slots in
+  let t = S.create ~rows:2 ~hint:64 in
+  S.take t ~row:0 40;
+  S.take t ~row:0 41;
+  S.take t ~row:1 41;
+  S.release t ~below:40;
+  (* the live window [40, 70] fits in half the rows: the prefix is dropped
+     and the counts move down *)
+  S.take t ~row:0 70;
+  checki "40 kept across the shift" 1 (S.count t ~row:0 40);
+  checki "41 kept across the shift" 1 (S.count t ~row:0 41);
+  checki "row 1 kept across the shift" 1 (S.count t ~row:1 41);
+  checki "new slot" 1 (S.count t ~row:0 70);
+  checki "untouched slot" 0 (S.count t ~row:0 69);
+  S.release t ~below:41;
+  (* [41, 200] does not fit: the rows grow, keeping the live part *)
+  S.take t ~row:0 200;
+  checki "41 kept across growth" 1 (S.count t ~row:0 41);
+  checki "70 kept across growth" 1 (S.count t ~row:0 70);
+  checki "200 taken" 1 (S.count t ~row:0 200);
+  checki "beyond the window" 0 (S.count t ~row:1 100_000);
+  S.release t ~below:10;
+  checki "a lower mark is ignored" 1 (S.count t ~row:0 41);
+  raises_invalid "find_free below the mark" (fun () ->
+      S.find_free t ~row:0 ~cap:1 ~from:40);
+  raises_invalid "count below the mark" (fun () -> S.count t ~row:0 40);
+  raises_invalid "take below the mark" (fun () -> S.take t ~row:1 0);
+  raises_invalid "reserve below the mark" (fun () ->
+      S.reserve t ~row:1 ~cap:2 ~from:3)
+
+(* reserve/release against a hashtable of every reservation ever made *)
+let test_slots_match_hashtable () =
+  let module S = Sim.Occ.Slots in
+  let rng = Random.State.make [| diff_seed |] in
+  let t = S.create ~rows:3 ~hint:64 in
+  let model = Hashtbl.create 1024 in
+  let count row c = Option.value ~default:0 (Hashtbl.find_opt model (row, c)) in
+  let mark = ref 0 in
+  for i = 1 to 20_000 do
+    match Random.State.int rng 10 with
+    | 0 ->
+      (* now and then the mark jumps past the whole window *)
+      mark :=
+        !mark
+        + (if Random.State.int rng 20 = 0 then 5000 else Random.State.int rng 40);
+      S.release t ~below:!mark
+    | 1 ->
+      let row = Random.State.int rng 3 in
+      let c = !mark + Random.State.int rng 3000 in
+      if S.count t ~row c <> count row c then
+        Alcotest.failf "seed %d: count at step %d differs" diff_seed i
+    | _ ->
+      (* one reservation in 50 lands far ahead and makes the rows grow *)
+      let row = Random.State.int rng 3 and cap = 1 + Random.State.int rng 3 in
+      let from =
+        !mark + Random.State.int rng (if Random.State.int rng 50 = 0 then 3000 else 120)
+      in
+      let expect = ref from in
+      while count row !expect >= cap do incr expect done;
+      Hashtbl.replace model (row, !expect) (count row !expect + 1);
+      let got = S.reserve t ~row ~cap ~from in
+      if got <> !expect then
+        Alcotest.failf "seed %d: reserve at step %d: %d, expected %d" diff_seed
+          i got !expect
+  done
+
+(* --- slot-count limits ---------------------------------------------------- *)
+
+(* counts are bytes: 255 reservations fit in one cycle, 256 would wrap *)
+let test_slot_count_limits () =
+  let module S = Sim.Occ.Slots in
+  let t = S.create ~rows:1 ~hint:64 in
+  for _ = 1 to 255 do
+    checki "cycle 5 has room" 5 (S.reserve t ~row:0 ~cap:255 ~from:5)
+  done;
+  checki "the 256th spills over" 6 (S.reserve t ~row:0 ~cap:255 ~from:5);
+  raises_invalid "cap 256" (fun () -> S.reserve t ~row:0 ~cap:256 ~from:5);
+  raises_invalid "cap 0" (fun () -> S.reserve t ~row:0 ~cap:0 ~from:5);
+  let prog = Gen.square_sum_program 50 in
+  let plan = Core.Partition.build Core.Heuristics.Control_flow prog in
+  let cfg = { cfg4 with Sim.Config.ring_bandwidth = 256 } in
+  raises_invalid "ring_bandwidth 256" (fun () -> Sim.Engine.run cfg plan);
+  let cfg = { cfg4 with Sim.Config.issue_width = 256 } in
+  raises_invalid "issue_width 256" (fun () -> Sim.Engine.run cfg plan);
+  let cfg = { cfg4 with Sim.Config.issue_width = 255; ring_bandwidth = 255 } in
+  checkb "255 is accepted" true
+    ((Sim.Engine.run cfg plan).Sim.Engine.stats.Sim.Stats.cycles > 0)
+
+(* --- allocation guard ----------------------------------------------------- *)
+
+(* Words the domain has allocated: minor words plus words allocated directly
+   in the major heap.  The simulator's counts repeat exactly for a build, so
+   these bounds are deterministic guards, not timing tests.  Measured when
+   set: compress/ts/8-PU ooo 0.52 words per simulated instruction, the
+   synth program 11.5 kwords per run; the bounds leave about 2x of room. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let sim_words cfg prog level =
+  let plan = Core.Cost.plan_for_level level prog in
+  let trace = (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace in
+  let prep = Sim.Engine.prepare plan trace in
+  ignore (Sim.Engine.run_prepared cfg prep trace);
+  let w0 = allocated () in
+  let r = Sim.Engine.run_prepared cfg prep trace in
+  let w1 = allocated () in
+  (w1 -. w0, r.Sim.Engine.stats.Sim.Stats.dyn_insns)
+
+let test_sim_allocation_bounds () =
+  let prog = (Workloads.Suite.find "compress").Workloads.Registry.build () in
+  let words, insns = sim_words cfg8 prog Core.Heuristics.Task_size in
+  let per_insn = words /. float_of_int insns in
+  if per_insn > 1.0 then
+    Alcotest.failf "compress ts 8-PU: %.2f words per simulated insn (bound 1.0)"
+      per_insn;
+  let profile = List.hd Workloads.Synth.Profile.all in
+  let prog = Workloads.Synth.generate ~profile ~seed:20261017 in
+  let words, _ = sim_words cfg4 prog Core.Heuristics.Control_flow in
+  if words > 24_000. then
+    Alcotest.failf "synth %s cf 4-PU: %.0f words per run (bound 24000)"
+      profile.Workloads.Synth.Profile.name words
+
 let () =
   Alcotest.run "sim"
     [
@@ -510,6 +795,9 @@ let () =
             test_target_above_four_never_correct;
           Alcotest.test_case "ras" `Quick test_ras;
           Alcotest.test_case "ras overflow" `Quick test_ras_overflow_drops_oldest;
+          Alcotest.test_case "ras ring = list model" `Quick test_ras_matches_list;
+          Alcotest.test_case "paged = flat tables" `Quick
+            test_paged_predictors_match_flat;
         ] );
       ( "caches",
         [
@@ -518,6 +806,15 @@ let () =
           Alcotest.test_case "hierarchy latencies" `Quick
             test_hierarchy_latencies;
           Alcotest.test_case "bank contention" `Quick test_bank_contention;
+          Alcotest.test_case "paged = flat cache" `Quick
+            test_paged_cache_matches_flat;
+        ] );
+      ( "occupancy",
+        [
+          Alcotest.test_case "window shift and growth" `Quick
+            test_slots_window_shift_and_growth;
+          Alcotest.test_case "slots = hashtable" `Quick test_slots_match_hashtable;
+          Alcotest.test_case "slot count limits" `Quick test_slot_count_limits;
         ] );
       ("layout", [ Alcotest.test_case "unique ids" `Quick test_layout_unique ]);
       ( "chopping",
@@ -558,5 +855,7 @@ let () =
           Alcotest.test_case "release points" `Quick
             test_release_points_unserialise;
           QCheck_alcotest.to_alcotest prop_engine_retires_everything;
+          Alcotest.test_case "allocation bounds" `Quick
+            test_sim_allocation_bounds;
         ] );
     ]
